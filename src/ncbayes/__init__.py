@@ -29,6 +29,7 @@ from .diagnostics import EssReport, effective_sample_size, ess_report
 from .experiments import ExperimentConfig, LearningSpec, run_experiment
 from .graph import (
     FactorGraphModel,
+    LatentPosterior,
     ancestral_sample,
     build_model,
     grad_log_joint_latents,
@@ -37,18 +38,7 @@ from .graph import (
     observed_log_likelihood,
     random_params,
 )
-from .hmc import (
-    ChainResult,
-    ChainState,
-    HmcConfig,
-    LatentPosterior,
-    adapt_step_size,
-    hmc_step,
-    leapfrog,
-    mixture_step,
-    run_chain,
-    run_chains,
-)
+from .hmc import ChainResult, HmcConfig, leapfrog, run_chain, run_chains
 from .learning import (
     AdagradState,
     MmclConfig,

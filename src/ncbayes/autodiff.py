@@ -698,9 +698,12 @@ def evaluate_with_gradient(root: Expr, bindings: dict, seed_adjoint=None,
         Expression to differentiate.
     bindings : dict
         Values for every ``inp`` leaf, keyed by name.
-    seed_adjoint : array, optional
+    seed_adjoint : array or callable, optional
         Adjoint of the root.  Defaults to 1 for scalar roots; required for
-        batched (vector-valued) roots, where it weights each batch row.
+        batched (vector-valued) roots, where it weights each batch row.  A
+        callable receives the root value after the forward pass and returns
+        the adjoint, so a seed that depends on the value costs no second
+        forward pass.
     wrt : frozenset of str, optional
         Input names to differentiate with respect to.  When given, the
         reverse pass skips every path that only reaches other inputs and
@@ -717,6 +720,8 @@ def evaluate_with_gradient(root: Expr, bindings: dict, seed_adjoint=None,
     vals = tape.run_forward(bindings)
     out = vals[tape.root_index]
     adj = [None] * len(vals)
+    if callable(seed_adjoint):
+        seed_adjoint = seed_adjoint(out)
     if seed_adjoint is None:
         if np.ndim(out) != 0:
             raise ValueError("non-scalar root needs an explicit seed_adjoint")

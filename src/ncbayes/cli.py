@@ -120,9 +120,8 @@ def _sample(args, raw):
     result = hmc.run_chain(model, theta, data, sampler,
                            parameterization=cfg.parameterization,
                            mix_rho=cfg.mix_rho)
-    posterior = hmc.LatentPosterior(model, theta, data)
     labels = []
-    for node_id in posterior.free_ids:
+    for node_id in model.free_ids:
         dim = int(model.nodes[node_id].dim)
         labels.extend(f"{node_id}_{k}" for k in range(dim))
     header = ("draw", *labels)

@@ -561,28 +561,30 @@ def _bindings(model, compiled, theta, assignment):
     return bindings
 
 
-def _support_violations(compiled, bindings):
-    """Mask of batch rows (or a bare bool) violating any support constraint."""
+def _out_of_support(values, kind):
+    if kind == "nonnegative":
+        return values < 0.0
+    if kind == "positive":
+        return values <= 0.0
+    return (values <= 0.0) | (values >= 1.0)
+
+
+def _mask_bad_rows(checks, bindings):
+    """Mask of batch rows (or a bare bool) holding an out-of-support value.
+
+    ``checks`` pairs node ids with support kinds.  Each offending value is
+    replaced in ``bindings`` by 0.5, which every support contains, so the
+    forward pass stays NaN-free; every other value, in the bad rows too,
+    is left as it is, so good rows evaluate exactly as they would alone.
+    """
     bad = False
-    for node_id, kind in compiled.support_checks:
+    for node_id, kind in checks:
         v = bindings[node_id]
-        if kind == "nonnegative":
-            mask = v < 0.0
-        elif kind == "positive":
-            mask = v <= 0.0
-        else:
-            mask = (v <= 0.0) | (v >= 1.0)
-        rows = np.any(mask, axis=-1)
-        bad = np.logical_or(bad, rows)
+        out = _out_of_support(v, kind)
+        if out.any():
+            bindings[node_id] = np.where(out, 0.5, v)
+            bad = np.logical_or(bad, np.any(out, axis=-1))
     return bad
-
-
-def _neutralize_bad_rows(compiled, bindings, bad):
-    """Replace out-of-support values so the forward pass stays NaN-free."""
-    for node_id, _ in compiled.support_checks:
-        v = bindings[node_id]
-        safe = np.where(np.isfinite(v) & (v > 0.0) & (v < 1.0), v, 0.5)
-        bindings[node_id] = safe
 
 
 def log_joint(model, theta, assignment):
@@ -597,11 +599,9 @@ def log_joint(model, theta, assignment):
     theta = _check_theta(model, theta)
     compiled = _compile(model)
     bindings = _bindings(model, compiled, theta, assignment)
-    bad = _support_violations(compiled, bindings)
+    bad = _mask_bad_rows(compiled.support_checks, bindings)
     if np.ndim(bad) == 0 and bad:
         return -np.inf
-    if np.any(bad):
-        _neutralize_bad_rows(compiled, bindings, bad)
     value = ad.evaluate(compiled.root, bindings)
     if np.any(bad):
         value = np.where(bad, -np.inf, value)
@@ -625,30 +625,26 @@ def grad_log_joint_latents(model, theta, assignment):
     """Log-joint and its gradient with respect to the free coordinates.
 
     Returns ``(value, grads)`` where ``grads`` maps each latent and
-    auxiliary node id to the adjoint array.  At out-of-support points the
-    value is ``-inf`` and the gradients are zero.
+    auxiliary node id to the adjoint array.  This is
+    :meth:`LatentPosterior.value_and_grad` with the observed values of
+    ``assignment`` as data, so row i of a batch equals the call on row i
+    alone: out-of-support rows give ``-inf`` with zero gradients, and an
+    out-of-support observed value raises :class:`DomainError`.  Free
+    values are either all ``(dim,)`` points or all ``(rows, dim)``
+    batches; observed values may be shared or given per row.
     """
     theta = _check_theta(model, theta)
-    compiled = _compile(model)
-    bindings = _bindings(model, compiled, theta, assignment)
-    bad = _support_violations(compiled, bindings)
-    scalar_bad = np.ndim(bad) == 0 and bool(bad)
-    if scalar_bad:
-        return -np.inf, {
-            i: np.zeros(model.nodes[i].dim) for i in model.free_ids
-        }
-    if np.any(bad):
-        _neutralize_bad_rows(compiled, bindings, bad)
-    record = _gradient(compiled, bindings)
-    grads = {i: record.grads.get(i, np.zeros(model.nodes[i].dim))
-             for i in model.free_ids}
-    value = record.value
-    if np.any(bad):
-        value = np.where(bad, -np.inf, value)
-        keep = ~bad
-        for i in grads:
-            grads[i] = grads[i] * keep[..., None]
-    return value, grads
+    bindings = _bindings(model, _compile(model), theta, assignment)
+    if len({bindings[i].shape[:-1] for i in model.free_ids}) > 1:
+        raise ShapeError(
+            "free values must be all single points or all batches of the "
+            "same number of rows"
+        )
+    target = LatentPosterior(
+        model, theta, {i: bindings[i] for i in model.observed_ids}
+    )
+    value, grad = target.value_and_grad(pack_coords(model, bindings))
+    return value, unpack_coords(model, grad)
 
 
 def grad_log_joint_params(model, theta, assignment):
@@ -683,6 +679,124 @@ def _pack_param_grads(model, grads):
         if g is not None:
             out[model.layout.slice_of(name)] = np.asarray(g).reshape(-1)
     return out
+
+
+class LatentPosterior:
+    """Log density of the free coordinates given data, with gradient.
+
+    The one evaluator behind the samplers, the Monte Carlo EM E-step and
+    :func:`grad_log_joint_latents`.  Bindings for the compiled joint are
+    prepared once; each call only writes the free-coordinate slices before
+    running the tape.  Accepts a single ``(dim,)`` point or a
+    ``(rows, dim)`` batch.  Out-of-support and numerically exploded rows
+    come back as ``-inf`` with zero gradient instead of raising: the
+    sampler treats them as rejections.
+
+    Each observed value is either a ``(dim,)`` vector shared by every row
+    or an ``(n, dim)`` matrix giving row i its own datapoint, so one batch
+    runs one chain per datapoint; batches must then have ``n`` rows.  A
+    single ``(dim,)`` point against per-row data gives one value per
+    datapoint and the gradient summed over them.
+
+    Instances reuse one bindings dictionary across calls, so share one
+    chain per instance, never one instance across threads.
+    """
+
+    def __init__(self, model, theta, data):
+        self.model = model
+        self.theta = _check_theta(model, theta)
+        self.compiled = _compile(model)
+        self.slices, self.dim = coord_slices(model)
+        self.free_ids = model.free_ids
+        self._wrt = frozenset(self.free_ids)
+        self.rows = None
+
+        env = model.layout.unpack(self.theta)
+        bindings = {f"theta:{name}": env[name] for name in model.layout}
+        data = dict(data or {})
+        for node_id in self.compiled.value_ids:
+            if node_id in self.slices:
+                continue
+            node = model.nodes[node_id]
+            try:
+                value = np.asarray(data.pop(node_id), dtype=np.float64)
+            except KeyError:
+                raise UnboundInput(
+                    f"no observed value for node '{node_id}'"
+                ) from None
+            if value.ndim == 0:
+                value = value.reshape(1)
+            if value.shape[-1] != node.dim or value.ndim > 2:
+                raise ShapeError(
+                    f"observed node '{node_id}' expects a vector of length "
+                    f"{node.dim} or one such row per datapoint, got shape "
+                    f"{value.shape}"
+                )
+            if value.ndim == 2:
+                if self.rows not in (None, value.shape[0]):
+                    raise ShapeError(
+                        "observed values disagree on the number of rows"
+                    )
+                self.rows = value.shape[0]
+            bindings[node_id] = value
+        if data:
+            raise ShapeError(
+                f"data assigns non-observed nodes: {sorted(data)}"
+            )
+        self._bindings = bindings
+
+        # observed values are checked once; free values on every call
+        self._checks = []
+        for node_id, kind in self.compiled.support_checks:
+            if node_id in self.slices:
+                self._checks.append((node_id, kind))
+            elif np.any(_out_of_support(bindings[node_id], kind)):
+                raise DomainError(
+                    f"observed value for '{node_id}' lies outside the "
+                    f"support of its family"
+                )
+
+    def value_and_grad(self, q):
+        """Log density and gradient at ``q``; ``(rows, dim)`` batches allowed."""
+        q = np.asarray(q, dtype=np.float64)
+        if q.shape[-1] != self.dim or q.ndim > 2 or (
+            q.ndim == 2 and self.rows not in (None, q.shape[0])
+        ):
+            raise ShapeError(
+                f"expected coordinates of length {self.dim}"
+                + ("" if self.rows is None else f" in {self.rows} rows")
+                + f", got shape {q.shape}"
+            )
+        bindings = self._bindings
+        for node_id, sl in self.slices.items():
+            bindings[node_id] = q[..., sl]
+        bad = _mask_bad_rows(self._checks, bindings)
+        rows = q.shape[0] if q.ndim == 2 else self.rows
+        seed = None if rows is None else np.ones(rows)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            record = ad.evaluate_with_gradient(
+                self.compiled.root, bindings, seed_adjoint=seed, wrt=self._wrt
+            )
+            parts = []
+            for i in self.free_ids:
+                g = record.grads.get(i)
+                if g is None:
+                    g = np.zeros(q.shape[:-1] + (self.model.nodes[i].dim,))
+                parts.append(g)
+            grad = (np.concatenate(parts, axis=-1) if parts
+                    else np.zeros(q.shape))
+        grad = np.where(np.isfinite(grad), grad, 0.0)
+        value = record.value
+
+        if q.ndim == 1:
+            if bad or not np.all(np.isfinite(value)):
+                return -np.inf, np.zeros(self.dim)
+            return value, grad
+        keep = np.isfinite(value) & np.logical_not(bad)
+        if not np.all(keep):
+            value = np.where(keep, value, -np.inf)
+            grad = grad * keep[:, None]
+        return value, grad
 
 
 # -- numeric link evaluation and sampling -------------------------------------
@@ -796,7 +910,7 @@ def pack_coords(model, assignment, ids=None):
     """Concatenate node values (free coordinates by default) into one vector."""
     ids = tuple(ids) if ids is not None else model.free_ids
     parts = [np.asarray(assignment[i], dtype=np.float64) for i in ids]
-    return np.concatenate(parts, axis=-1)
+    return np.concatenate(parts, axis=-1) if parts else np.zeros(0)
 
 
 def unpack_coords(model, vector, ids=None):

@@ -1,18 +1,21 @@
 """Hybrid Monte Carlo over either coordinate system of a factor graph.
 
 The chain targets the free coordinates of a model conditioned on observed
-data with fixed parameters.  It can run in the model's own latent
-coordinates, in the auxiliary-noise coordinates of a reparameterization
-plan, or as a mixture kernel that flips a coin each iteration and performs
-the update in whichever system it picked, translating the current point
-exactly between systems.  Draws are always stored in latent (z)
-coordinates regardless of where the updates happened.
+data with fixed parameters, through :class:`~ncbayes.graph.LatentPosterior`.
+It can run in the model's own latent coordinates, in the auxiliary-noise
+coordinates of a reparameterization plan, or as a mixture kernel that flips
+a coin each iteration and performs the update in whichever system it
+picked, translating the current point exactly between systems.  Draws are
+always stored in latent (z) coordinates regardless of where the updates
+happened.
 
-Step sizes adapt multiplicatively during burn-in and freeze afterwards.
-The mixture kernel keeps one adapted step size per system: the two
-posteriors have very different curvature precisely in the regimes where
-the mixture is interesting, and a shared step collapses to the smaller of
-the two scales, immobilizing the other component.
+Every update, here and in the Monte Carlo EM E-step, is one call of the
+batched :func:`_transition`, and every step-size change one call of
+:func:`_adapt`.  Step sizes adapt multiplicatively during burn-in and
+freeze afterwards.  The mixture kernel keeps one adapted step size per
+system: the two posteriors have very different curvature precisely in the
+regimes where the mixture is interesting, and a shared step collapses to
+the smaller of the two scales, immobilizing the other component.
 
 Replicate chains with different seeds evolve as rows of one batched state,
 so the gradient tape runs once per leapfrog step for all replicates.  Each
@@ -22,21 +25,13 @@ which keeps every row in the same coordinate system without affecting any
 single row's transition law.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import graph
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    NonFinite,
-    ShapeError,
-    StepUnderflow,
-    UnboundInput,
-)
-from .graph import pack_coords, unpack_coords
+from .errors import ConfigurationError, NonFinite, StepUnderflow
+from .graph import LatentPosterior, pack_coords, unpack_coords
 from .reparam import apply_plan, eps_from_z, full_dncp_plan, z_from_eps
 
 STEP_FLOOR = 1e-12
@@ -74,22 +69,6 @@ class HmcConfig:
 
 
 @dataclass(frozen=True)
-class ChainState:
-    """Current point of a chain.
-
-    ``system`` tags which coordinates ``coords`` lives in: "z" for the
-    model's own latents, "eps" for auxiliary noise under a plan.  The log
-    density and its gradient are cached for the tagged system and must be
-    recomputed on any system switch.
-    """
-
-    coords: np.ndarray
-    system: str
-    log_density: float
-    grad: np.ndarray
-
-
-@dataclass(frozen=True)
 class ChainResult:
     """Stored draws plus per-iteration traces.
 
@@ -106,133 +85,6 @@ class ChainResult:
     step_trace: np.ndarray
     system_trace: np.ndarray
     final_step_sizes: dict
-
-
-class LatentPosterior:
-    """Log density of the free coordinates given data, with gradient.
-
-    Bindings for the compiled joint are prepared once; each call only
-    writes the free-coordinate slices before running the tape, so this is
-    the hot path for samplers.  Accepts a single ``(dim,)`` point or a
-    ``(rows, dim)`` batch.  Out-of-support and numerically exploded points
-    come back as ``-inf`` with zero gradient instead of raising: the
-    sampler treats them as rejections.
-
-    Instances reuse one bindings dictionary across calls, so share one
-    chain per instance, never one instance across threads.
-    """
-
-    def __init__(self, model, theta, data):
-        self.model = model
-        self.theta = np.asarray(theta, dtype=np.float64)
-        if self.theta.shape != (model.layout.size,):
-            raise ShapeError(
-                f"parameter vector must have shape ({model.layout.size},), "
-                f"got {self.theta.shape}"
-            )
-        self.compiled = graph._compile(model)
-        self.slices, self.dim = graph.coord_slices(model)
-        self.free_ids = model.free_ids
-        self._wrt = frozenset(self.free_ids)
-
-        bindings = {}
-        env = model.layout.unpack(self.theta)
-        for name in model.layout:
-            bindings[f"theta:{name}"] = env[name]
-        data = dict(data or {})
-        for node_id in self.compiled.value_ids:
-            if node_id in self.slices:
-                continue
-            node = model.nodes[node_id]
-            try:
-                value = np.asarray(data.pop(node_id), dtype=np.float64)
-            except KeyError:
-                raise UnboundInput(
-                    f"no observed value for node '{node_id}'"
-                ) from None
-            if value.ndim == 0:
-                value = value.reshape(1)
-            if value.shape != (node.dim,):
-                raise ShapeError(
-                    f"observed node '{node_id}' expects a vector of length "
-                    f"{node.dim}, got shape {value.shape}"
-                )
-            bindings[node_id] = value
-        if data:
-            raise ShapeError(
-                f"data assigns non-observed nodes: {sorted(data)}"
-            )
-        self._bindings = bindings
-
-        # support constraints split into fixed (checked once) and free
-        self._checks = []
-        for node_id, kind in self.compiled.support_checks:
-            if node_id in self.slices:
-                self._checks.append((self.slices[node_id], kind))
-            elif np.any(_support_mask(bindings[node_id], kind)):
-                raise DomainError(
-                    f"observed value for '{node_id}' lies outside the "
-                    f"support of its family"
-                )
-
-    def value_and_grad(self, q):
-        """Log density and gradient at ``q``; ``(rows, dim)`` batches allowed."""
-        q = np.asarray(q, dtype=np.float64)
-        if q.shape[-1] != self.dim or q.ndim > 2:
-            raise ShapeError(
-                f"expected coordinates of length {self.dim}, got shape {q.shape}"
-            )
-        bad = False
-        for sl, kind in self._checks:
-            bad = np.logical_or(bad, np.any(_support_mask(q[..., sl], kind), axis=-1))
-
-        if q.ndim == 1:
-            if bad:
-                return -np.inf, np.zeros(self.dim)
-            value, grad = self._run(q)
-            if not np.isfinite(value):
-                return -np.inf, np.zeros(self.dim)
-            return float(value), grad
-
-        rows = q.shape[0]
-        if np.any(bad):
-            q = np.where(np.asarray(bad)[:, None], 0.5, q)
-        value, grad = self._run(q, rows)
-        keep = np.isfinite(value)
-        if np.ndim(bad):
-            keep &= ~bad
-        if not np.all(keep):
-            value = np.where(keep, value, -np.inf)
-            grad = grad * keep[:, None]
-        return value, grad
-
-    def _run(self, q, rows=None):
-        bindings = self._bindings
-        for node_id, sl in self.slices.items():
-            bindings[node_id] = q[..., sl]
-        seed = None if rows is None else np.ones(rows)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            record = ad.evaluate_with_gradient(
-                self.compiled.root, bindings, seed_adjoint=seed, wrt=self._wrt
-            )
-            parts = []
-            for i in self.free_ids:
-                g = record.grads.get(i)
-                if g is None:
-                    d = self.model.nodes[i].dim
-                    g = np.zeros(d if rows is None else (rows, d))
-                parts.append(g)
-            grad = np.concatenate(parts, axis=-1)
-        grad = np.where(np.isfinite(grad), grad, 0.0)
-        return record.value, grad
-
-
-def _support_mask(values, kind):
-    if kind == "nonnegative":
-        return values < 0.0
-    if kind == "positive":
-        return values <= 0.0
-    return (values <= 0.0) | (values >= 1.0)
 
 
 def _integrate(q, p, value_and_grad, step_size, n_steps, grad0=None):
@@ -267,6 +119,43 @@ def _propose(q0, logp0, g0, p0, target, step_size, n_steps):
     return q1, logp1, g1, dh
 
 
+def _transition(q, logp, grad, target, step_size, n_steps, p0, u):
+    """One Metropolis-adjusted leapfrog update of every batch row.
+
+    ``p0`` holds the rows' standard-normal momenta and ``u`` their uniform
+    acceptance draws; a row accepts when ``log(u) < dH``.  Divergent
+    trajectories (non-finite energy change) count as rejections and never
+    raise.  Returns ``(q, logp, grad, accepted)``; rejected rows keep their
+    current values.
+    """
+    q1, logp1, g1, dh = _propose(q, logp, grad, p0, target, step_size,
+                                 n_steps)
+    with np.errstate(invalid="ignore"):
+        acc = np.log(u) < dh  # NaN compares False
+    if np.any(acc):
+        keep = acc[:, None]
+        q = np.where(keep, q1, q)
+        logp = np.where(acc, logp1, logp)
+        grad = np.where(keep, g1, grad)
+    return q, logp, grad, acc
+
+
+def _adapt(step_sizes, accepted, target_accept):
+    """Multiplicative step-size update, one step per row.
+
+    Grows by 1.02 on accept and shrinks by 1.02^(-target/(1-target)) on
+    reject, so the zero-drift point sits at the target acceptance rate.
+    """
+    shrink = GROW ** (-target_accept / (1.0 - target_accept))
+    new = step_sizes * np.where(accepted, GROW, shrink)
+    if np.any(new < STEP_FLOOR):
+        raise StepUnderflow(
+            f"step size collapsed below {STEP_FLOOR:g}; the target geometry "
+            f"is likely degenerate in these coordinates"
+        )
+    return new
+
+
 def leapfrog(q, p, step_size, n_steps, grad_fn):
     """Volume-preserving half-kick / drift / half-kick integrator.
 
@@ -287,91 +176,6 @@ def leapfrog(q, p, step_size, n_steps, grad_fn):
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
         raise NonFinite("leapfrog trajectory diverged")
     return q, p
-
-
-def hmc_step(state, target, step_size, config, rng):
-    """One Metropolis-adjusted leapfrog proposal.
-
-    Momentum is resampled from a standard normal; the proposal is accepted
-    with probability min(1, exp(dH)).  Divergent trajectories (non-finite
-    energy change) count as rejections and never raise.
-    """
-    q0 = state.coords
-    p0 = rng.standard_normal(q0.shape)
-    q1, logp1, g1, dh = _propose(
-        q0, state.log_density, state.grad, p0, target, step_size,
-        config.leapfrog_steps,
-    )
-    accept = bool(np.log(rng.random()) < dh)  # NaN compares False
-    if accept:
-        return replace(state, coords=q1, log_density=float(logp1), grad=g1), True
-    return state, False
-
-
-def adapt_step_size(step_size, accepted, iteration, config):
-    """Multiplicative step-size update, active only during burn-in.
-
-    Grows by 1.02 on accept and shrinks by 1.02^(-target/(1-target)) on
-    reject, so the zero-drift point sits at the target acceptance rate.
-    """
-    if iteration >= config.burn_in:
-        return step_size
-    new = step_size * (GROW if accepted else _shrink(config))
-    if new < STEP_FLOOR:
-        raise StepUnderflow(
-            f"step size collapsed to {new:.3e}; the target geometry is "
-            f"likely degenerate in these coordinates"
-        )
-    return new
-
-
-def _shrink(config):
-    return GROW ** (-config.target_accept / (1.0 - config.target_accept))
-
-
-def _translate(state, system, cp_target, dncp_target, plan):
-    """Re-express the current point in the other coordinate system."""
-    if state.system == system:
-        return state
-    model = cp_target.model
-    theta = cp_target.theta
-    if system == "eps":
-        zvals = unpack_coords(model, state.coords)
-        evals = eps_from_z(model, plan, zvals, theta)
-        coords = pack_coords(dncp_target.model, evals)
-        logp, grad = dncp_target.value_and_grad(coords)
-    else:
-        evals = unpack_coords(dncp_target.model, state.coords)
-        zvals = z_from_eps(model, plan, evals, theta)
-        coords = pack_coords(model, zvals)
-        logp, grad = cp_target.value_and_grad(coords)
-    return ChainState(coords, system, logp, grad)
-
-
-def mixture_step(state, cp_target, dncp_target, plan, step_sizes, config,
-                 rng, mix_rho=0.5):
-    """One update of the coin-flip mixture kernel.
-
-    With probability ``mix_rho`` the update runs in z-coordinates,
-    otherwise in auxiliary-noise coordinates; the current point is mapped
-    exactly into the chosen system first and back into z-coordinates
-    afterwards, so the returned state is always in the model's own
-    latents.  Returns the new state, the accept flag, and which
-    parameterization was used.  The degenerate weights 0 and 1 skip the
-    coin flip entirely so they reproduce the pure chains draw for draw.
-    """
-    if mix_rho >= 1.0:
-        use_cp = True
-    elif mix_rho <= 0.0:
-        use_cp = False
-    else:
-        use_cp = rng.random() < mix_rho
-    name = "cp" if use_cp else "dncp"
-    state = _translate(state, _SYSTEM_OF[name], cp_target, dncp_target, plan)
-    target = cp_target if use_cp else dncp_target
-    state, accepted = hmc_step(state, target, step_sizes[name], config, rng)
-    state = _translate(state, "z", cp_target, dncp_target, plan)
-    return state, accepted, name
 
 
 def run_chains(model, theta, data, config, parameterization="cp", plan=None,
@@ -431,7 +235,6 @@ def run_chains(model, theta, data, config, parameterization="cp", plan=None,
         "cp": np.full(rows, float(config.step_size)),
         "dncp": np.full(rows, float(config.step_size)),
     }
-    shrink = _shrink(config)
 
     for it in range(total):
         if par == "mix":
@@ -460,28 +263,16 @@ def run_chains(model, theta, data, config, parameterization="cp", plan=None,
             logp, grad = target.value_and_grad(q)
 
         p0 = np.stack([g.standard_normal(dim) for g in gens])
-        q1, logp1, g1, dh = _propose(q, logp, grad, p0, target, steps[name],
-                                     n_steps)
         u = np.array([g.random() for g in gens])
-        with np.errstate(invalid="ignore"):
-            acc = np.log(u) < dh
-        if np.any(acc):
-            keep = acc[:, None]
-            q = np.where(keep, q1, q)
-            logp = np.where(acc, logp1, logp)
-            grad = np.where(keep, g1, grad)
+        q, logp, grad, acc = _transition(q, logp, grad, target, steps[name],
+                                         n_steps, p0, u)
 
         accept_trace[:, it] = acc
         system_trace[it] = name
         step_trace[:, it] = steps[name]
         if it < config.burn_in:
-            steps[name] = steps[name] * np.where(acc, GROW, shrink)
-            if np.any(steps[name] < STEP_FLOOR):
-                raise StepUnderflow(
-                    f"step size collapsed below {STEP_FLOOR:g} during "
-                    f"adaptation in the '{name}' system"
-                )
-        if it >= config.burn_in:
+            steps[name] = _adapt(steps[name], acc, config.target_accept)
+        else:
             k = it - config.burn_in
             draws[:, k, :] = q
             stored_in_eps[k] = system == "eps"

@@ -26,7 +26,6 @@ from .errors import (
     EmptyESample,
     NonFinite,
     ShapeError,
-    StepUnderflow,
 )
 
 _AUX_FAMILIES = ("std_normal_aux", "uniform_aux")
@@ -158,26 +157,40 @@ def _mmcl_rows(model, theta, x_block, L, rng, want_grad):
     bindings = graph._bindings(model, compiled, theta, assignment)
     wrt = frozenset(f"theta:{name}" for name in model.layout)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if not want_grad:
-            w = np.atleast_1d(ad.evaluate(compiled.root, bindings))
-            estimates = logsumexp(w.reshape(b, L), axis=1) - np.log(L)
-            grad = None
-        else:
-            seed = softmax(
-                np.atleast_1d(ad.evaluate(compiled.root, bindings))
-                .reshape(b, L), axis=1
-            ).reshape(-1) / b
+        if want_grad:
             record = ad.evaluate_with_gradient(
-                compiled.root, bindings, seed_adjoint=seed, wrt=wrt
+                compiled.root, bindings,
+                seed_adjoint=_SoftmaxSeed(b, L), wrt=wrt,
             )
-            w = np.atleast_1d(record.value)
-            estimates = logsumexp(w.reshape(b, L), axis=1) - np.log(L)
-            grad = _flat_param_grad(model, record.grads)
+            w, grad = record.value, _flat_param_grad(model, record.grads)
+        else:
+            w, grad = ad.evaluate(compiled.root, bindings), None
+        w = np.atleast_1d(w).reshape(b, L)
+        estimates = logsumexp(w, axis=1) - np.log(L)
     if not np.all(np.isfinite(estimates)):
         raise NonFinite("marginal likelihood estimate is not finite")
     if grad is not None and not np.all(np.isfinite(grad)):
         raise NonFinite("marginal likelihood gradient is not finite")
     return estimates, grad
+
+
+class _SoftmaxSeed:
+    """Backward seed of the mean block estimate, made from the root value.
+
+    Each length-L stretch of row values gets its softmax weights, divided
+    by the number of points b, so the tape runs forward only once.  Like
+    an array seed, it has one entry per row it weights.
+    """
+
+    def __init__(self, b, L):
+        self.b, self.L = b, L
+
+    def __len__(self):
+        return self.b * self.L
+
+    def __call__(self, w):
+        w = np.atleast_1d(w).reshape(self.b, self.L)
+        return softmax(w, axis=1).reshape(-1) / self.b
 
 
 def _flat_param_grad(model, grads):
@@ -255,72 +268,8 @@ def marginal_log_likelihood(model, theta, data, L, seed, block=None):
     return total / n
 
 
-class _DatasetPosterior:
-    """Row-wise latent posterior where each row carries its own datapoint.
-
-    The coordinates matrix is (n, dim): row i holds datapoint i's free
-    coordinates.  Used by the Monte Carlo EM E-step, which runs one chain
-    per datapoint as one batched update.
-    """
-
-    def __init__(self, model, theta, data):
-        self.model = model
-        self.compiled = graph._compile(model)
-        self.slices, self.dim = graph.coord_slices(model)
-        self.free_ids = model.free_ids
-        self._wrt = frozenset(self.free_ids)
-        data, self.n = _check_dataset(model, data)
-        self._data = data
-        self._bindings = {}
-        self.set_theta(theta)
-        for node_id, v in data.items():
-            self._bindings[node_id] = v
-        self._checks = [(self.slices[i], kind)
-                        for i, kind in self.compiled.support_checks
-                        if i in self.slices]
-
-    def set_theta(self, theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (self.model.layout.size,):
-            raise ShapeError(
-                f"parameter vector must have shape "
-                f"({self.model.layout.size},), got {theta.shape}"
-            )
-        env = self.model.layout.unpack(theta)
-        for name in self.model.layout:
-            self._bindings[f"theta:{name}"] = env[name]
-
-    def value_and_grad(self, q):
-        bad = False
-        for sl, kind in self._checks:
-            bad = np.logical_or(
-                bad, np.any(hmc._support_mask(q[:, sl], kind), axis=-1)
-            )
-        if np.any(bad):
-            q = np.where(np.asarray(bad)[:, None], 0.5, q)
-        bindings = self._bindings
-        for node_id, sl in self.slices.items():
-            bindings[node_id] = q[:, sl]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            record = ad.evaluate_with_gradient(
-                self.compiled.root, bindings,
-                seed_adjoint=np.ones(self.n), wrt=self._wrt
-            )
-            parts = []
-            for i in self.free_ids:
-                g = record.grads.get(i)
-                parts.append(np.zeros((self.n, self.model.nodes[i].dim))
-                             if g is None else g)
-            grad = np.concatenate(parts, axis=-1)
-        grad = np.where(np.isfinite(grad), grad, 0.0)
-        value = record.value
-        keep = np.isfinite(value)
-        if np.ndim(bad):
-            keep &= ~bad
-        if not np.all(keep):
-            value = np.where(keep, value, -np.inf)
-            grad = grad * keep[:, None]
-        return value, grad
+# the E-step evaluator: one chain per datapoint, given (n, dim) data
+_DatasetPosterior = graph.LatentPosterior
 
 
 @dataclass(frozen=True)
@@ -355,26 +304,16 @@ def _estep(target, chains, config, e_step_samples, thin, rng):
     q = chains.coords
     steps = chains.step_sizes
     logp, grad = target.value_and_grad(q)
-    shrink = hmc.GROW ** (-config.target_accept / (1.0 - config.target_accept))
     n, dim = q.shape
     samples = np.empty((e_step_samples, n, dim))
     for s in range(e_step_samples):
         for _ in range(thin):
             p0 = rng.standard_normal((n, dim))
-            q1, logp1, g1, dh = hmc._propose(q, logp, grad, p0, target,
-                                             steps, config.leapfrog_steps)
-            with np.errstate(invalid="ignore"):
-                acc = np.log(rng.random(n)) < dh
-            if np.any(acc):
-                q = np.where(acc[:, None], q1, q)
-                logp = np.where(acc, logp1, logp)
-                grad = np.where(acc[:, None], g1, grad)
-            steps = steps * np.where(acc, hmc.GROW, shrink)
-            if np.any(steps < hmc.STEP_FLOOR):
-                raise StepUnderflow(
-                    "E-step chain step size collapsed; the posterior is "
-                    "degenerate in these coordinates"
-                )
+            u = rng.random(n)
+            q, logp, grad, acc = hmc._transition(
+                q, logp, grad, target, steps, config.leapfrog_steps, p0, u
+            )
+            steps = hmc._adapt(steps, acc, config.target_accept)
         samples[s] = q
     return samples, McemChains(q, steps, chains.system)
 
@@ -444,7 +383,7 @@ def mcem_iteration(model, theta, data, hmc_config, e_step_samples, opt_state,
             f"parameterization must be 'cp' or 'dncp', got "
             f"{parameterization!r}"
         )
-    _, n = _check_dataset(model, data)
+    data, n = _check_dataset(model, data)
     if chains is None:
         chains = _init_chains(model, theta, n, hmc_config.step_size,
                               parameterization, plan, rng)

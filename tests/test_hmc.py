@@ -15,13 +15,11 @@ from ncbayes.errors import (
 )
 from ncbayes.graph import build_model, pack_coords, unpack_coords
 from ncbayes.hmc import (
-    ChainState,
     HmcConfig,
     LatentPosterior,
-    adapt_step_size,
-    hmc_step,
+    _adapt,
+    _transition,
     leapfrog,
-    mixture_step,
     run_chain,
     run_chains,
 )
@@ -30,10 +28,10 @@ from ncbayes.reparam import apply_plan, eps_from_z, full_dncp_plan, z_from_eps
 
 
 class StdNormalTarget:
-    """Isotropic unit Gaussian in any dimension."""
+    """Isotropic unit Gaussian in any dimension, over rows of a batch."""
 
     def value_and_grad(self, q):
-        return -0.5 * float(q @ q), -q
+        return -0.5 * np.sum(q * q, axis=-1), -q
 
 
 def lds_problem(sigma_x=1.0, sigma_z=2.0, x1=1.5, x2=-0.5):
@@ -154,17 +152,19 @@ class TestLeapfrog:
 
 class TestHmcStep:
     def chain(self, step_size, n, seed, q0=None):
-        cfg = HmcConfig(step_size=step_size, leapfrog_steps=10)
         target = StdNormalTarget()
-        q = np.array([0.0]) if q0 is None else q0
+        q = np.array([[0.0]]) if q0 is None else q0
         logp, g = target.value_and_grad(q)
-        state = ChainState(q, "z", logp, g)
         rng = np.random.default_rng(seed)
         out = np.empty(n)
         accepts = np.empty(n, dtype=bool)
         for i in range(n):
-            state, accepts[i] = hmc_step(state, target, step_size, cfg, rng)
-            out[i] = state.coords[0]
+            p0 = rng.standard_normal((1, 1))
+            u = rng.random(1)
+            q, logp, g, acc = _transition(q, logp, g, target, step_size, 10,
+                                          p0, u)
+            accepts[i] = acc[0]
+            out[i] = q[0, 0]
         return out, accepts
 
     def test_standard_normal_moments(self):
@@ -178,15 +178,15 @@ class TestHmcStep:
 
     def test_huge_step_rejects_and_keeps_state(self):
         target = StdNormalTarget()
-        q = np.array([1.3])
+        q = np.array([[1.3]])
         logp, g = target.value_and_grad(q)
-        state = ChainState(q, "z", logp, g)
-        cfg = HmcConfig(step_size=1.0)
+        rng = np.random.default_rng(0)
+        p0, u = rng.standard_normal((1, 1)), rng.random(1)
         with np.errstate(over="ignore", invalid="ignore"):
-            new, accepted = hmc_step(state, target, 1e6, cfg,
-                                     np.random.default_rng(0))
-        assert not accepted
-        assert new is state
+            q1, logp1, g1, acc = _transition(q, logp, g, target, 1e6, 10,
+                                             p0, u)
+        assert not acc[0]
+        assert q1 is q and logp1 is logp and g1 is g
 
     def test_fixed_seed_reproducible(self):
         a, acc_a = self.chain(0.5, 200, seed=7)
@@ -194,41 +194,59 @@ class TestHmcStep:
         assert np.array_equal(a, b)
         assert np.array_equal(acc_a, acc_b)
 
+    def test_rows_move_independently(self):
+        # a batch of two rows equals the two rows run alone
+        target = StdNormalTarget()
+        q = np.array([[0.4, -1.0], [2.0, 0.3]])
+        logp, g = target.value_and_grad(q)
+        rng = np.random.default_rng(5)
+        p0, u = rng.standard_normal((2, 2)), rng.random(2)
+        both = _transition(q, logp, g, target, 0.7, 10, p0, u)
+        for r in range(2):
+            one = _transition(q[r:r + 1], logp[r:r + 1], g[r:r + 1], target,
+                              0.7, 10, p0[r:r + 1], u[r:r + 1])
+            for got, want in zip(both, one):
+                assert np.array_equal(got[r], want[0])
+
 
 class TestAdaptation:
     def test_all_accept_closed_form(self):
-        cfg = HmcConfig(step_size=0.01, burn_in=1000)
-        s = 0.01
-        for it in range(100):
-            s = adapt_step_size(s, True, it, cfg)
-        assert s == pytest.approx(0.01 * 1.02 ** 100, rel=1e-12)
+        s = np.array([0.01])
+        for _ in range(100):
+            s = _adapt(s, True, 0.9)
+        assert s[0] == pytest.approx(0.01 * 1.02 ** 100, rel=1e-12)
 
     def test_alternating_at_half_target_drifts_under_one_percent(self):
-        cfg = HmcConfig(step_size=1.0, target_accept=0.5, burn_in=2000)
-        s = 1.0
+        s = np.array([1.0])
         for it in range(1000):
-            s = adapt_step_size(s, it % 2 == 0, it, cfg)
-        assert abs(s - 1.0) < 0.01
+            s = _adapt(s, it % 2 == 0, 0.5)
+        assert abs(s[0] - 1.0) < 0.01
 
     def test_frozen_after_burn_in(self):
-        cfg = HmcConfig(step_size=0.3, burn_in=50)
-        assert adapt_step_size(0.3, True, 50, cfg) == 0.3
-        assert adapt_step_size(0.3, False, 51, cfg) == 0.3
-        assert adapt_step_size(0.3, True, 49, cfg) != 0.3
+        model, theta, data, _, _ = lds_problem()
+        cfg = HmcConfig(step_size=0.3, burn_in=50, samples=60, seed=1)
+        r = run_chain(model, theta, data, cfg)
+        frozen = r.step_trace[cfg.burn_in:]
+        assert np.all(frozen == r.final_step_sizes["cp"])
+        assert r.step_trace[cfg.burn_in - 1] != r.final_step_sizes["cp"]
+        assert r.step_trace[0] == 0.3
 
     def test_underflow_raises(self):
-        cfg = HmcConfig(step_size=1.0, burn_in=10)
         with pytest.raises(StepUnderflow):
-            adapt_step_size(1.05e-12, False, 0, cfg)
+            _adapt(np.array([1.05e-12]), np.array([False]), 0.9)
 
     def test_fixed_point_sits_at_target_rate(self):
         # accepting at exactly the target rate leaves the step unchanged
         # over each full cycle, up to floating-point rounding
-        cfg = HmcConfig(step_size=1.0, target_accept=0.9, burn_in=10**6)
-        s = 1.0
+        s = np.array([1.0])
         for it in range(1000):
-            s = adapt_step_size(s, it % 10 != 0, it, cfg)
-        assert s == pytest.approx(1.0, rel=1e-9)
+            s = _adapt(s, it % 10 != 0, 0.9)
+        assert s[0] == pytest.approx(1.0, rel=1e-9)
+
+    def test_rows_adapt_independently(self):
+        s = _adapt(np.array([1.0, 1.0]), np.array([True, False]), 0.9)
+        assert s[0] == 1.02
+        assert s[1] == pytest.approx(1.02 ** -9, rel=1e-12)
 
 
 class TestLatentPosterior:
@@ -364,55 +382,6 @@ class TestMixture:
             assert np.array_equal(pure.draws, mix.draws)
             assert np.array_equal(pure.accept_trace, mix.accept_trace)
             assert np.all(mix.system_trace == par)
-
-    def test_mixture_step_at_rho_one_matches_hmc_step(self):
-        model, theta, data, _, _ = lds_problem()
-        cfg = HmcConfig(step_size=0.25, burn_in=100)
-        plan = full_dncp_plan(model)
-        cp = LatentPosterior(model, theta, data)
-        dncp = LatentPosterior(apply_plan(model, plan), theta, data)
-        q0 = np.array([0.2, -0.4])
-        logp, g = cp.value_and_grad(q0)
-        steps = {"cp": 0.25, "dncp": 0.25}
-
-        state_a = ChainState(q0, "z", logp, g)
-        rng_a = np.random.default_rng(3)
-        coords_a = []
-        for _ in range(50):
-            state_a, _, name = mixture_step(state_a, cp, dncp, plan, steps,
-                                            cfg, rng_a, mix_rho=1.0)
-            assert name == "cp"
-            assert state_a.system == "z"
-            coords_a.append(state_a.coords.copy())
-
-        state_b = ChainState(q0, "z", logp, g)
-        rng_b = np.random.default_rng(3)
-        coords_b = []
-        for _ in range(50):
-            state_b, _ = hmc_step(state_b, cp, 0.25, cfg, rng_b)
-            coords_b.append(state_b.coords.copy())
-        assert np.array_equal(np.array(coords_a), np.array(coords_b))
-
-    def test_mixture_step_translates_back_to_z(self):
-        model, theta, data, _, _ = lds_problem()
-        cfg = HmcConfig(step_size=0.25, burn_in=100)
-        plan = full_dncp_plan(model)
-        cp = LatentPosterior(model, theta, data)
-        dncp = LatentPosterior(apply_plan(model, plan), theta, data)
-        q0 = np.array([0.2, -0.4])
-        logp, g = cp.value_and_grad(q0)
-        state = ChainState(q0, "z", logp, g)
-        rng = np.random.default_rng(1)
-        steps = {"cp": 0.25, "dncp": 0.25}
-        seen = set()
-        for _ in range(40):
-            state, _, name = mixture_step(state, cp, dncp, plan, steps, cfg,
-                                          rng, mix_rho=0.5)
-            seen.add(name)
-            assert state.system == "z"
-            ref, _ = cp.value_and_grad(state.coords)
-            assert state.log_density == pytest.approx(ref, rel=1e-12)
-        assert seen == {"cp", "dncp"}
 
     def test_stored_draws_survive_coordinate_round_trip(self):
         # every stored draw is in z-coordinates; mapping it to the noise
