@@ -183,12 +183,15 @@ def _unbroadcast(grad, shape):
     return g.reshape(shape)
 
 
-def _expand(g, reduced_ndim):
-    """Give a reduction adjoint a trailing axis when the operand had one."""
-    g = np.asarray(g, dtype=np.float64)
-    if reduced_ndim >= 1:
-        return np.expand_dims(g, -1)
-    return g
+def _expand(g):
+    """Give a trailing-axis reduction's adjoint back its summed axis."""
+    return np.asarray(g, dtype=np.float64)[..., None]
+
+
+def _sum_last(t):
+    """Sum along the trailing axis; a scalar counts as one element."""
+    t = np.asarray(t)
+    return t.sum(axis=-1) if t.ndim else t[()]
 
 
 def _topological_order(root: Expr):
@@ -384,7 +387,7 @@ def _fwd_gaussian(node, i, ci):
         def run(vals, bindings, i=i, xi=xi, mi=mi, inv=inv, offset=offset):
             r = (vals[xi] - vals[mi]) * inv
             t = -0.5 * (r * r) - offset
-            vals[i] = np.sum(np.atleast_1d(t), axis=-1)
+            vals[i] = _sum_last(t)
 
         return run
 
@@ -393,7 +396,7 @@ def _fwd_gaussian(node, i, ci):
         s = np.maximum(sigma, SIGMA_FLOOR)
         r = (x - mu) / s
         t = -0.5 * r * r - np.log(s) - _HALF_LOG_2PI
-        vals[i] = np.sum(np.atleast_1d(t), axis=-1)
+        vals[i] = _sum_last(t)
 
     return run
 
@@ -404,7 +407,7 @@ def _fwd_bernoulli(node, i, ci):
     def run(vals, bindings, i=i, xi=xi, ai=ai):
         x, a = vals[xi], vals[ai]
         t = x * a - np.logaddexp(0.0, a)
-        vals[i] = np.sum(np.atleast_1d(t), axis=-1)
+        vals[i] = _sum_last(t)
 
     return run
 
@@ -413,7 +416,7 @@ def _fwd_sum(node, i, ci):
     j = ci[0]
 
     def run(vals, bindings, i=i, j=j):
-        vals[i] = np.sum(np.atleast_1d(vals[j]), axis=-1)
+        vals[i] = _sum_last(vals[j])
 
     return run
 
@@ -591,7 +594,7 @@ def _bwd_gaussian(node, i, ci, cl):
                 return
             x, mu = vals[xi], vals[mi]
             core = (x - mu) * inv2
-            ge = _expand(g, max(core.ndim, 1))
+            ge = _expand(g)
             gc = ge * core
             if lx:
                 _accumulate(adj, xi, _unbroadcast(-gc, x.shape))
@@ -607,7 +610,7 @@ def _bwd_gaussian(node, i, ci, cl):
         x, mu, sigma = vals[xi], vals[mi], vals[si]
         s = np.maximum(sigma, SIGMA_FLOOR)
         r = (x - mu) / s
-        ge = _expand(g, max(r.ndim, 1))
+        ge = _expand(g)
         if lx:
             _accumulate(adj, xi, _unbroadcast(ge * (-r / s), x.shape))
         if lm:
@@ -629,7 +632,7 @@ def _bwd_bernoulli(node, i, ci, cl):
         if g is None:
             return
         x, a = vals[xi], vals[ai]
-        ge = _expand(g, max(np.broadcast(x, a).ndim, 1))
+        ge = _expand(g)
         if la:
             _accumulate(adj, ai, _unbroadcast(ge * (x - expit(a)), a.shape))
         if lx:
@@ -647,7 +650,7 @@ def _bwd_sum(node, i, ci, cl):
         if g is None:
             return
         x = vals[j]
-        _accumulate(adj, j, _expand(g, max(x.ndim, 1)) * np.ones_like(x))
+        _accumulate(adj, j, _expand(g) * np.ones_like(x))
 
     return run
 
