@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import (
     DomainError,
     NonFinite,
@@ -35,8 +36,9 @@ from .errors import (
     ZeroScale,
 )
 from .graph import (
-    _resolve,
-    eval_link,
+    _coeff_expr,
+    _program,
+    _run,
     grad_log_joint_latents,
     pack_coords,
     unpack_coords,
@@ -159,41 +161,46 @@ def correlation_limits(s: LocalFactorSummary, which) -> tuple:
     raise ValueError(f"unknown limit '{which}'")
 
 
+def _mean_rule(given):
+    """Each node's prior mean given its parents, as an expression; nodes in
+    ``given`` are bound and observed nodes are skipped."""
+    def value_expr(node, link, param_exprs):
+        family = node.factor.family
+        if node.id in given:
+            return ad.inp(node.id)
+        if node.kind == "observed":
+            return None
+        if family == "std_normal_aux":
+            return ad.constant(np.zeros(node.dim))
+        if family == "uniform_aux":
+            return ad.constant(np.full(node.dim, 0.5))
+        if family == "exponential":
+            return ad.reciprocal(link)
+        if family == "lognormal":
+            scale = _coeff_expr(node.factor.scale, param_exprs)
+            return ad.exp(link + 0.5 * ad.square(scale))
+        return link  # deterministic and Gaussian
+
+    return value_expr
+
+
 def prior_mean_point(model, theta, overrides=None) -> dict:
     """Forward pass through the graph replacing every noise draw by its mean.
 
     Entries of ``overrides`` are kept as supplied and condition everything
-    downstream.  Observed nodes are skipped unless overridden.
+    downstream.  Observed nodes are skipped unless overridden.  The links
+    run through the tape, in one program per model and set of overrides.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    env = model.layout.unpack(theta)
     values = dict(overrides or {})
-    for node_id in model.topo_order:
-        node = model.nodes[node_id]
-        if node_id in values:
-            continue
-        if node.kind == "observed":
-            continue
-        family = node.factor.family
-        if family == "std_normal_aux":
-            values[node_id] = np.zeros(node.dim)
-            continue
-        if family == "uniform_aux":
-            values[node_id] = np.full(node.dim, 0.5)
-            continue
-        parents = {p: values[p] for p in node.parents}
-        loc = np.asarray(eval_link(node.factor.link, parents, env),
-                         dtype=np.float64)
-        if family in ("deterministic", "gaussian"):
-            value = loc
-        elif family == "exponential":
-            value = 1.0 / loc
-        elif family == "lognormal":
-            s = np.asarray(_resolve(node.factor.scale, env), dtype=np.float64)
-            value = np.exp(loc + 0.5 * s ** 2)
-        else:
-            raise DomainError(f"no mean rule for family '{family}'")
-        values[node_id] = np.broadcast_to(value, (node.dim,)).astype(np.float64)
+    given = frozenset(values)
+    ids = tuple(i for i in model.topo_order
+                if i not in given and model.nodes[i].kind != "observed")
+    root = _program(model, ("prior_mean", given), _mean_rule(given), ids)
+    for node_id, value in zip(ids, _run(root, model.layout.unpack(theta),
+                                        values)):
+        dim = model.nodes[node_id].dim
+        values[node_id] = np.broadcast_to(value, (dim,)).astype(np.float64)
     return values
 
 

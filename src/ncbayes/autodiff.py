@@ -170,6 +170,15 @@ def total(x) -> Expr:
     return Expr("sum", (as_expr(x),))
 
 
+def outputs(*exprs) -> Expr:
+    """Several expressions evaluated in one pass; the value is their tuple.
+
+    Subterms shared between the outputs run once.  Forward only: there is
+    no gradient through this node.
+    """
+    return Expr("outputs", tuple(as_expr(e) for e in exprs))
+
+
 def _unbroadcast(grad, shape):
     """Sum a broadcast gradient back down to the operand's shape."""
     g = np.asarray(grad, dtype=np.float64)
@@ -421,6 +430,13 @@ def _fwd_sum(node, i, ci):
     return run
 
 
+def _fwd_outputs(node, i, ci):
+    def run(vals, bindings, i=i, ci=ci):
+        vals[i] = tuple(vals[j] for j in ci)
+
+    return run
+
+
 _FORWARD_BUILDERS = {
     "constant": _fwd_constant,
     "input": _fwd_input,
@@ -436,6 +452,7 @@ _FORWARD_BUILDERS = {
     "gaussianLogPdf": _fwd_gaussian,
     "bernoulliLogPmf": _fwd_bernoulli,
     "sum": _fwd_sum,
+    "outputs": _fwd_outputs,
 }
 
 
@@ -670,6 +687,7 @@ _BACKWARD_BUILDERS = {
     "gaussianLogPdf": _bwd_gaussian,
     "bernoulliLogPmf": _bwd_bernoulli,
     "sum": _bwd_sum,
+    "outputs": _bwd_none,
 }
 
 
@@ -682,13 +700,14 @@ class GradientRecord:
 
 
 def evaluate(root: Expr, bindings: dict):
-    """Forward pass only; returns a float for scalar-valued expressions."""
+    """Forward pass only; returns a float for scalar-valued expressions and
+    a tuple for :func:`outputs`."""
     tape = _tape_for(root)
     vals = tape.run_forward(bindings)
     out = vals[tape.root_index]
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    if isinstance(out, tuple) or np.ndim(out) != 0:
+        return out
+    return float(out)
 
 
 def evaluate_with_gradient(root: Expr, bindings: dict, seed_adjoint=None,
@@ -719,6 +738,8 @@ def evaluate_with_gradient(root: Expr, bindings: dict, seed_adjoint=None,
         adjoint array, shaped like the bound value.  Inputs sharing a name
         have their adjoints summed.
     """
+    if root.op == "outputs":
+        raise ValueError("a multi-output expression has no gradient")
     tape = _tape_for(root, wrt)
     vals = tape.run_forward(bindings)
     out = vals[tape.root_index]

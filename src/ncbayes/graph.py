@@ -28,6 +28,7 @@ blocks by name, so several factors may share one block (tied weights).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,15 +83,14 @@ class AffineLink:
 
 @dataclass(frozen=True)
 class CustomLink:
-    """Location map given directly as expression-builder and numeric closures.
+    """Location map given directly as an expression builder.
 
-    ``build(parent_exprs, param_exprs)`` returns an autodiff expression;
-    ``evaluate(parent_values, param_env)`` computes the same function on
-    arrays (row-batched inputs included).
+    ``build(parent_exprs, param_exprs)`` returns an autodiff expression.  It
+    is the link's only definition: densities, sampling and translations all
+    evaluate it through the tape.
     """
 
     build: object
-    evaluate: object
 
 
 @dataclass(frozen=True)
@@ -119,28 +119,28 @@ class ParamLayout:
         self.blocks = {}
         offset = 0
         for name, shape in blocks:
-            size = int(np.prod(shape, dtype=int)) if shape else 1
+            size = math.prod(shape)
             self.blocks[name] = (offset, tuple(shape))
             offset += size
         self.size = offset
 
     def slice_of(self, name):
         offset, shape = self.blocks[name]
-        size = int(np.prod(shape, dtype=int)) if shape else 1
+        size = math.prod(shape)
         return slice(offset, offset + size)
 
     def unpack(self, theta):
         """Views of ``theta`` reshaped per block, keyed by block name."""
         env = {}
         for name, (offset, shape) in self.blocks.items():
-            size = int(np.prod(shape, dtype=int)) if shape else 1
+            size = math.prod(shape)
             env[name] = theta[offset:offset + size].reshape(shape)
         return env
 
     def pack(self, env):
         theta = np.zeros(self.size)
         for name, (offset, shape) in self.blocks.items():
-            size = int(np.prod(shape, dtype=int)) if shape else 1
+            size = math.prod(shape)
             theta[offset:offset + size] = np.asarray(env[name]).reshape(-1)
         return theta
 
@@ -433,13 +433,12 @@ def _validate_structure(model):
 # -- compiled joint density ---------------------------------------------------
 
 class _Compiled:
-    __slots__ = ("root", "value_ids", "support_checks", "param_names")
+    __slots__ = ("root", "value_ids", "support_checks")
 
-    def __init__(self, root, value_ids, support_checks, param_names):
+    def __init__(self, root, value_ids, support_checks):
         self.root = root
         self.value_ids = value_ids
         self.support_checks = support_checks
-        self.param_names = param_names
 
 
 def _link_expr(link, node, parent_exprs, param_exprs):
@@ -461,32 +460,41 @@ def _coeff_expr(coeff, param_exprs):
     return ad.constant(coeff)
 
 
+_SUPPORT = {"exponential": "nonnegative", "lognormal": "positive",
+            "uniform_aux": "unit_interval"}
+
+
+def _node_exprs(model, value_expr):
+    """Expressions for every node's value and link, over shared parameters.
+
+    ``value_expr(node, link, param_exprs)`` gives each node's value from its
+    link expression (``None`` for auxiliary nodes), whose parents' values
+    it reads.
+    """
+    param_exprs = {name: ad.inp(f"theta:{name}") for name in model.layout}
+    values, links = {}, {}
+    for node_id in model.topo_order:
+        node = model.nodes[node_id]
+        if node.factor.link is not None:
+            parent_exprs = {p: values[p] for p in node.parents}
+            links[node_id] = _link_expr(node.factor.link, node, parent_exprs,
+                                        param_exprs)
+        values[node_id] = value_expr(node, links.get(node_id), param_exprs)
+    return values, links, param_exprs
+
+
+def _given(node, link, param_exprs):
+    """Deterministic nodes follow their links; every other value is bound."""
+    return link if node.kind == DETERMINISTIC else ad.inp(node.id)
+
+
 def _compile(model, observed_only=False):
     key = "obs" if observed_only else "joint"
     cached = model._compiled.get(key)
     if cached is not None:
         return cached
 
-    param_exprs = {name: ad.inp(f"theta:{name}") for name in model.layout}
-    value_exprs = {}
-    support_checks = []
-    for node_id in model.topo_order:
-        node = model.nodes[node_id]
-        if node.kind == DETERMINISTIC:
-            parent_exprs = {p: value_exprs[p] for p in node.parents}
-            value_exprs[node_id] = _link_expr(
-                node.factor.link, node, parent_exprs, param_exprs
-            )
-        else:
-            value_exprs[node_id] = ad.inp(node_id)
-            family = node.factor.family
-            if family == "exponential":
-                support_checks.append((node_id, "nonnegative"))
-            elif family == "lognormal":
-                support_checks.append((node_id, "positive"))
-            elif family == "uniform_aux":
-                support_checks.append((node_id, "unit_interval"))
-
+    values, links, param_exprs = _node_exprs(model, _given)
     terms = []
     for node_id in model.topo_order:
         node = model.nodes[node_id]
@@ -495,22 +503,17 @@ def _compile(model, observed_only=False):
         if observed_only and node.kind != OBSERVED:
             continue
         factor = node.factor
-        value = value_exprs[node_id]
-        parent_exprs = {p: value_exprs[p] for p in node.parents}
+        value, link = values[node_id], links.get(node_id)
         family = factor.family
         if family == "gaussian":
-            mean = _link_expr(factor.link, node, parent_exprs, param_exprs)
-            terms.append(ad.gaussian_log_pdf(value, mean, _coeff_expr(factor.scale, param_exprs)))
+            terms.append(ad.gaussian_log_pdf(value, link, _coeff_expr(factor.scale, param_exprs)))
         elif family == "bernoulli":
-            logits = _link_expr(factor.link, node, parent_exprs, param_exprs)
-            terms.append(ad.bernoulli_log_pmf(value, logits))
+            terms.append(ad.bernoulli_log_pmf(value, link))
         elif family == "exponential":
-            rate = _link_expr(factor.link, node, parent_exprs, param_exprs)
-            terms.append(ad.total(ad.log(rate)) - ad.total(ad.mul(rate, value)))
+            terms.append(ad.total(ad.log(link)) - ad.total(ad.mul(link, value)))
         elif family == "lognormal":
-            mean = _link_expr(factor.link, node, parent_exprs, param_exprs)
             terms.append(
-                ad.gaussian_log_pdf(ad.log(value), mean, _coeff_expr(factor.scale, param_exprs))
+                ad.gaussian_log_pdf(ad.log(value), link, _coeff_expr(factor.scale, param_exprs))
                 - ad.total(ad.log(value))
             )
         elif family == "std_normal_aux":
@@ -522,8 +525,10 @@ def _compile(model, observed_only=False):
     value_ids = tuple(
         i for i in model.topo_order if model.nodes[i].kind != DETERMINISTIC
     )
-    compiled = _Compiled(root, value_ids, tuple(support_checks),
-                         tuple(f"theta:{n}" for n in model.layout))
+    support_checks = tuple((i, _SUPPORT[model.nodes[i].factor.family])
+                           for i in value_ids
+                           if model.nodes[i].factor.family in _SUPPORT)
+    compiled = _Compiled(root, value_ids, support_checks)
     model._compiled[key] = compiled
     return compiled
 
@@ -799,28 +804,67 @@ class LatentPosterior:
         return value, grad
 
 
-# -- numeric link evaluation and sampling -------------------------------------
+# -- forward programs: sampling and deterministic values ---------------------
 
-def _resolve(coeff, env):
-    if isinstance(coeff, ParamRef):
-        return env[coeff.name]
-    return coeff
+_UNIFORM_NOISE = {"exponential", "uniform_aux", "bernoulli"}
+_NOISE_MAPPED = {"gaussian", "lognormal", "exponential"}
 
 
-def eval_link(link, parent_values, env):
-    """Numeric counterpart of the compiled link expression."""
-    if isinstance(link, CustomLink):
-        return link.evaluate(parent_values, env)
-    acc = np.asarray(_resolve(link.bias, env), dtype=np.float64)
-    for pid, w in link.weights:
-        w = np.asarray(_resolve(w, env), dtype=np.float64)
-        v = np.asarray(parent_values[pid], dtype=np.float64)
-        acc = acc + (w @ v if v.ndim <= 1 else v @ w.T)
-    if link.activation == "tanh":
-        return np.tanh(acc)
-    if link.activation == "sigmoid":
-        return expit(acc)
-    return acc
+def _noise_map(node, loc, eps, param_exprs):
+    """Value of a continuous node at standard noise ``eps``, as an expression.
+
+    ``loc + scale * eps`` for Gaussian nodes and ``exp`` of it for
+    log-normal ones (normal ``eps``); ``-log(1 - eps) / rate`` for
+    exponential nodes (uniform ``eps``, ``loc`` is the rate).
+    """
+    if node.factor.family == "exponential":
+        return -ad.log(1.0 - eps) / loc
+    value = ad.add(loc, ad.mul(_coeff_expr(node.factor.scale, param_exprs), eps))
+    return ad.exp(value) if node.factor.family == "lognormal" else value
+
+
+def _program(model, key, value_expr, ids, link_ids=()):
+    """Forward-only expression for the values (by ``value_expr``, see
+    :func:`_node_exprs`) of nodes ``ids`` followed by the links of nodes
+    ``link_ids``, cached in ``model._compiled`` under ``key``."""
+    root = model._compiled.get(key)
+    if root is None:
+        values, links, _ = _node_exprs(model, value_expr)
+        root = model._compiled[key] = ad.outputs(
+            *(values[i] for i in ids), *(links[i] for i in link_ids))
+    return root
+
+
+def _run(root, env, values):
+    """Evaluate a program at parameter blocks ``env`` and node ``values``."""
+    bindings = {f"theta:{name}": v for name, v in env.items()}
+    bindings.update(values)
+    return ad.evaluate(root, bindings)
+
+
+def _map_noise(model, key, noise_ids, ids, env, values):
+    """Values of nodes ``ids`` when each node in ``noise_ids`` follows its
+    family's noise map of the noise bound under ``noise_ids[node_id]``.
+
+    Bernoulli nodes give their logits; other values follow :func:`_given`.
+    One program per ``key``, which must determine ``noise_ids`` and ``ids``.
+    """
+    def value_expr(node, link, param_exprs):
+        if node.id in noise_ids:
+            eps = ad.inp(noise_ids[node.id])
+            return _noise_map(node, link, eps, param_exprs)
+        return link if node.factor.family == "bernoulli" else _given(
+            node, link, param_exprs)
+
+    rate_ids = tuple(i for i in noise_ids
+                     if model.nodes[i].factor.family == "exponential")
+    root = _program(model, key, value_expr, ids, rate_ids)
+    with np.errstate(divide="ignore"):
+        out = _run(root, env, values)
+    for node_id, rate in zip(rate_ids, out[len(ids):]):
+        if np.any(rate <= 0.0):
+            raise DomainError(f"node '{node_id}': rate must be positive")
+    return dict(zip(ids, out))
 
 
 def recompute_deterministic(model, theta, assignment):
@@ -830,66 +874,50 @@ def recompute_deterministic(model, theta, assignment):
     recomputed ones; all other entries are passed through.
     """
     theta = _check_theta(model, theta)
-    env = model.layout.unpack(theta)
+    ids = model.deterministic_ids
+    root = _program(model, "deterministic", _given, ids)
     out = dict(assignment)
-    for node_id in model.topo_order:
-        node = model.nodes[node_id]
-        if node.kind != DETERMINISTIC:
-            continue
-        parents = {p: out[p] for p in node.parents}
-        out[node_id] = eval_link(node.factor.link, parents, env)
+    out.update(zip(ids, _run(root, model.layout.unpack(theta), assignment)))
     return out
 
 
 def ancestral_sample(model, theta, rng, size=None):
-    """Draw a full joint assignment by sampling nodes in topological order.
+    """Draw a full joint assignment: the model evaluated at fresh noise.
 
-    With ``size=n`` every node value is an ``(n, dim)`` row batch drawn with
-    shared parameters; otherwise values are ``(dim,)`` vectors.  Observed
-    nodes are sampled too, so the result is a draw from the full joint.
+    One standard noise array is drawn per non-deterministic node in
+    topological order: normal for Gaussian, log-normal and
+    ``std_normal_aux`` nodes, uniform for exponential, ``uniform_aux`` and
+    Bernoulli nodes.  One pass of the model's expressions then maps the
+    noise to values (see :func:`_noise_map`), so the draw equals the
+    non-centered graph at the same noise; Bernoulli values are
+    ``u < expit(logits)``.  With ``size=n`` every node value is an
+    ``(n, dim)`` row batch drawn with shared parameters; otherwise values
+    are ``(dim,)`` vectors.  Observed nodes are sampled too.
     """
     theta = _check_theta(model, theta)
-    env = model.layout.unpack(theta)
-    out = {}
+    noise, noise_ids, shapes = {}, {}, {}
     for node_id in model.topo_order:
         node = model.nodes[node_id]
-        shape = (node.dim,) if size is None else (int(size), node.dim)
-        family = node.factor.family
-        parents = {p: out[p] for p in node.parents}
+        shape = shapes[node_id] = (
+            (node.dim,) if size is None else (int(size), node.dim))
         if node.kind == DETERMINISTIC:
-            value = eval_link(node.factor.link, parents, env)
-            value = np.broadcast_to(np.asarray(value, dtype=np.float64), shape).copy()
-        elif family == "gaussian":
-            mean = eval_link(node.factor.link, parents, env)
-            scale = np.asarray(_resolve(node.factor.scale, env), dtype=np.float64)
-            value = mean + scale * rng.standard_normal(shape)
-        elif family == "lognormal":
-            mean = eval_link(node.factor.link, parents, env)
-            scale = np.asarray(_resolve(node.factor.scale, env), dtype=np.float64)
-            value = np.exp(mean + scale * rng.standard_normal(shape))
-        elif family == "bernoulli":
-            p = expit(eval_link(node.factor.link, parents, env))
-            value = (rng.random(shape) < p).astype(np.float64)
-        elif family == "exponential":
-            rate = np.asarray(
-                eval_link(node.factor.link, parents, env), dtype=np.float64
-            )
-            if np.any(rate <= 0.0):
-                raise DomainError(
-                    f"node '{node_id}': exponential rate must be positive"
-                )
-            value = rng.exponential(1.0, shape) / rate
-        elif family == "std_normal_aux":
-            value = rng.standard_normal(shape)
-        elif family == "uniform_aux":
-            value = rng.random(shape)
-        else:  # pragma: no cover - families are validated at build time
-            raise UnsupportedFamily(family)
-        value = np.asarray(value, dtype=np.float64)
-        if value.shape != shape:
-            value = np.broadcast_to(value, shape).copy()
-        out[node_id] = value
-    return out
+            continue
+        family = node.factor.family
+        draw = rng.random if family in _UNIFORM_NOISE else rng.standard_normal
+        noise[node_id] = draw(shape)
+        if family in _NOISE_MAPPED:
+            noise_ids[node_id] = node_id
+    values = _map_noise(model, "sample", noise_ids, model.topo_order,
+                        model.layout.unpack(theta), noise)
+    for node_id, value in values.items():
+        node = model.nodes[node_id]
+        if node.factor.family == "bernoulli":
+            value = (noise[node_id] < expit(value)).astype(np.float64)
+        elif node.kind == DETERMINISTIC or value.shape != shapes[node_id]:
+            # a copy, never a constant or parameter block of the program
+            value = np.broadcast_to(value, shapes[node_id]).copy()
+        values[node_id] = value
+    return values
 
 
 # -- flat views of the free coordinates ---------------------------------------

@@ -18,11 +18,17 @@ Three standard constructions are provided:
 * composition for log-normal nodes: ``g = exp(mean(parents) + scale * eps)``
   with standard-normal ``eps``.
 
+Each map ``g`` exists once, as an expression (``graph._noise_map``): the
+rewritten graph's density, :func:`z_from_eps` and ancestral sampling all
+evaluate it through the tape.  The inverses and log-Jacobians are numeric
+and read their link values from the tape.
+
 A plan maps node ids to transforms; nodes absent from the plan stay
 centered, so mixed parameterizations are ordinary.  :func:`apply_plan`
 rewrites the model graph (auxiliary roots plus deterministic nodes), while
 :func:`z_from_eps` / :func:`eps_from_z` translate assignments between the
-two coordinate systems without rebuilding anything.
+two coordinate systems without rebuilding anything: each runs one tape
+program per model and set of planned nodes, cached on the model.
 """
 
 from __future__ import annotations
@@ -47,33 +53,88 @@ from .graph import (
     Factor,
     FactorGraphModel,
     NodeSpec,
-    _coeff_expr,
+    ParamRef,
+    _given,
     _link_expr,
-    _resolve,
-    eval_link,
+    _map_noise,
+    _noise_map,
+    _program,
+    _run,
 )
 
 
 @dataclass(frozen=True)
 class DncpTransform:
-    """Invertible noise map for one latent node.
+    """Invertible noise map for one latent node of ``model``.
 
-    ``g``, ``g_inverse``, and ``jacobian_log_abs_det`` are numeric closures
-    taking ``(parent_values, array, param_env)``; ``build_expr`` assembles
-    the same map as a differentiable expression for the rewritten graph.
+    ``build_expr(parent_exprs, eps_expr, param_exprs)`` is the forward map
+    as an expression, the node family's noise map.  ``g_inverse`` and
+    ``jacobian_log_abs_det`` are numeric, taking ``(parent_values, array,
+    param_env)``, and evaluate the node's link through the tape.
     """
 
+    model: FactorGraphModel
     node_id: str
     aux_id: str
     aux_family: str
-    g: object
-    g_inverse: object
-    jacobian_log_abs_det: object
-    build_expr: object
+
+    def build_expr(self, parent_exprs, eps_expr, param_exprs):
+        node = self.model.nodes[self.node_id]
+        loc = _link_expr(node.factor.link, node, parent_exprs, param_exprs)
+        return _noise_map(node, loc, eps_expr, param_exprs)
+
+    def _link(self, parent_values, env):
+        root = _program(self.model, ("link", self.node_id),
+                        lambda node, link, params: ad.inp(node.id),
+                        (), (self.node_id,))
+        return _run(root, env, parent_values)[0]
+
+    def g_inverse(self, parent_values, z, env):
+        node = self.model.nodes[self.node_id]
+        return _inverse(node, self._link(parent_values, env), z, env)
+
+    def jacobian_log_abs_det(self, parent_values, eps, env):
+        node = self.model.nodes[self.node_id]
+        eps = np.asarray(eps, dtype=np.float64)
+        if node.factor.family == "gaussian":
+            s = np.broadcast_to(_scale(node, env), (node.dim,))
+            return float(np.sum(np.log(s)))
+        loc = self._link(parent_values, env)
+        if node.factor.family == "exponential":
+            t = -np.log(_rate(node, loc)) - np.log1p(-eps)
+        else:
+            s = _scale(node, env)
+            t = np.log(s) + loc + s * eps
+        return np.sum(np.atleast_1d(np.broadcast_to(t, eps.shape)), axis=-1)
 
 
-def _sum_trailing(t):
-    return np.sum(np.atleast_1d(t), axis=-1)
+def _scale(node, env):
+    s = node.factor.scale
+    s = np.asarray(env[s.name] if isinstance(s, ParamRef) else s, dtype=np.float64)
+    if (s <= 0.0).any():
+        raise NonInvertible(f"node '{node.id}': scale must be positive")
+    return s
+
+
+def _rate(node, loc):
+    if (loc <= 0.0).any():
+        raise DomainError(f"node '{node.id}': rate must be positive")
+    return loc
+
+
+def _inverse(node, loc, z, env):
+    """Noise that the node's noise map sends to ``z`` at link value ``loc``."""
+    z = np.asarray(z, dtype=np.float64)
+    family = node.factor.family
+    if family == "exponential":
+        if (z < 0.0).any():
+            raise DomainError(f"node '{node.id}': value outside support")
+        return -np.expm1(-_rate(node, loc) * z)
+    if family == "lognormal":
+        if (z <= 0.0).any():
+            raise DomainError(f"node '{node.id}': value outside support")
+        z = np.log(z)
+    return (z - loc) / _scale(node, env)
 
 
 def _require_latent(model, node_id, family):
@@ -93,32 +154,18 @@ def _require_latent(model, node_id, family):
     return node
 
 
+_AUX_FAMILY = {"gaussian": "std_normal_aux", "exponential": "uniform_aux",
+               "lognormal": "std_normal_aux"}
+
+
+def _transform(model, node_id, family):
+    _require_latent(model, node_id, family)
+    return DncpTransform(model, node_id, f"eps_{node_id}", _AUX_FAMILY[family])
+
+
 def location_scale_transform(model, node_id) -> DncpTransform:
     """Non-centered form of a Gaussian node: ``z = mean(parents) + scale * eps``."""
-    node = _require_latent(model, node_id, "gaussian")
-    link, scale, dim = node.factor.link, node.factor.scale, node.dim
-
-    def g(parents, eps, env):
-        return eval_link(link, parents, env) + _resolve(scale, env) * eps
-
-    def g_inverse(parents, z, env):
-        s = np.asarray(_resolve(scale, env), dtype=np.float64)
-        if np.any(s <= 0.0):
-            raise NonInvertible(f"node '{node_id}': scale must be positive")
-        return (z - eval_link(link, parents, env)) / s
-
-    def jacobian_log_abs_det(parents, eps, env):
-        s = np.broadcast_to(np.asarray(_resolve(scale, env), dtype=np.float64), (dim,))
-        if np.any(s <= 0.0):
-            raise NonInvertible(f"node '{node_id}': scale must be positive")
-        return float(np.sum(np.log(s)))
-
-    def build_expr(parent_exprs, eps_expr, param_exprs):
-        mean = _link_expr(link, node, parent_exprs, param_exprs)
-        return ad.add(mean, ad.mul(_coeff_expr(scale, param_exprs), eps_expr))
-
-    return DncpTransform(node_id, f"eps_{node_id}", "std_normal_aux",
-                         g, g_inverse, jacobian_log_abs_det, build_expr)
+    return _transform(model, node_id, "gaussian")
 
 
 def inverse_cdf_transform(model, node_id) -> DncpTransform:
@@ -126,81 +173,12 @@ def inverse_cdf_transform(model, node_id) -> DncpTransform:
 
     ``eps`` is uniform on (0, 1) and ``z = -log(1 - eps) / rate(parents)``.
     """
-    node = _require_latent(model, node_id, "exponential")
-    link = node.factor.link
-
-    def _rate(parents, env):
-        rate = np.asarray(eval_link(link, parents, env), dtype=np.float64)
-        if np.any(rate <= 0.0):
-            raise DomainError(f"node '{node_id}': rate must be positive")
-        return rate
-
-    def g(parents, eps, env):
-        eps = np.asarray(eps, dtype=np.float64)
-        if np.any(eps <= 0.0) or np.any(eps >= 1.0):
-            raise DomainError(f"node '{node_id}': eps must lie in (0, 1)")
-        return -np.log1p(-eps) / _rate(parents, env)
-
-    def g_inverse(parents, z, env):
-        z = np.asarray(z, dtype=np.float64)
-        if np.any(z < 0.0):
-            raise DomainError(f"node '{node_id}': value outside support")
-        return -np.expm1(-_rate(parents, env) * z)
-
-    def jacobian_log_abs_det(parents, eps, env):
-        eps = np.asarray(eps, dtype=np.float64)
-        rate = _rate(parents, env)
-        t = -np.log(rate) - np.log1p(-eps)
-        return _sum_trailing(np.broadcast_to(t, eps.shape))
-
-    def build_expr(parent_exprs, eps_expr, param_exprs):
-        rate = _link_expr(link, node, parent_exprs, param_exprs)
-        return -ad.log(1.0 - eps_expr) / rate
-
-    return DncpTransform(node_id, f"eps_{node_id}", "uniform_aux",
-                         g, g_inverse, jacobian_log_abs_det, build_expr)
+    return _transform(model, node_id, "exponential")
 
 
 def composition_transform(model, node_id) -> DncpTransform:
     """Non-centered form of a log-normal node: ``z = exp(mean + scale * eps)``."""
-    node = _require_latent(model, node_id, "lognormal")
-    link, scale = node.factor.link, node.factor.scale
-
-    def g(parents, eps, env):
-        mean = eval_link(link, parents, env)
-        return np.exp(mean + _resolve(scale, env) * eps)
-
-    def g_inverse(parents, z, env):
-        z = np.asarray(z, dtype=np.float64)
-        if np.any(z <= 0.0):
-            raise DomainError(f"node '{node_id}': value outside support")
-        s = np.asarray(_resolve(scale, env), dtype=np.float64)
-        if np.any(s <= 0.0):
-            raise NonInvertible(f"node '{node_id}': scale must be positive")
-        return (np.log(z) - eval_link(link, parents, env)) / s
-
-    def jacobian_log_abs_det(parents, eps, env):
-        eps = np.asarray(eps, dtype=np.float64)
-        s = np.asarray(_resolve(scale, env), dtype=np.float64)
-        if np.any(s <= 0.0):
-            raise NonInvertible(f"node '{node_id}': scale must be positive")
-        mean = eval_link(link, parents, env)
-        t = np.log(s) + mean + s * eps
-        return _sum_trailing(np.broadcast_to(t, eps.shape))
-
-    def build_expr(parent_exprs, eps_expr, param_exprs):
-        mean = _link_expr(link, node, parent_exprs, param_exprs)
-        return ad.exp(ad.add(mean, ad.mul(_coeff_expr(scale, param_exprs), eps_expr)))
-
-    return DncpTransform(node_id, f"eps_{node_id}", "std_normal_aux",
-                         g, g_inverse, jacobian_log_abs_det, build_expr)
-
-
-_TRANSFORM_BUILDERS = {
-    "gaussian": location_scale_transform,
-    "exponential": inverse_cdf_transform,
-    "lognormal": composition_transform,
-}
+    return _transform(model, node_id, "lognormal")
 
 
 def full_dncp_plan(model) -> dict:
@@ -210,13 +188,12 @@ def full_dncp_plan(model) -> dict:
         node = model.nodes[node_id]
         if node.kind != LATENT:
             continue
-        builder = _TRANSFORM_BUILDERS.get(node.factor.family)
-        if builder is None:
+        if node.factor.family not in _AUX_FAMILY:
             raise UnsupportedFamily(
                 f"node '{node_id}': no transform for family "
                 f"'{node.factor.family}'"
             )
-        plan[node_id] = builder(model, node_id)
+        plan[node_id] = _transform(model, node_id, node.factor.family)
     return plan
 
 
@@ -255,14 +232,9 @@ def apply_plan(model, plan) -> FactorGraphModel:
             pe = {p: parent_exprs[p] for p in pids}
             return t.build_expr(pe, parent_exprs[t.aux_id], param_exprs)
 
-        def evaluate(parent_values, env, t=transform, pids=original_parents):
-            pv = {p: parent_values[p] for p in pids}
-            return t.g(pv, parent_values[t.aux_id], env)
-
         nodes.append(NodeSpec(node_id, DETERMINISTIC, node.dim,
                               original_parents + (transform.aux_id,),
-                              Factor("deterministic",
-                                     link=CustomLink(build, evaluate))))
+                              Factor("deterministic", link=CustomLink(build))))
     return FactorGraphModel(nodes, model.layout)
 
 
@@ -272,40 +244,23 @@ def z_from_eps(model, plan, assignment, theta) -> dict:
     ``assignment`` supplies ``eps`` for every planned node (keyed by the
     transform's ``aux_id``) and plain values for unplanned latent nodes.
     Returns values for every latent and deterministic node of the original
-    model.
+    model, from one pass of the noise maps and links through the tape.
     """
     env = model.layout.unpack(np.asarray(theta, dtype=np.float64))
-    out = {}
-
-    def parent_values(node):
-        vals = {}
-        for p in node.parents:
-            if p in out:
-                vals[p] = out[p]
-            elif p in assignment:
-                vals[p] = np.asarray(assignment[p], dtype=np.float64)
-            else:
-                raise UnboundInput(f"no value for parent '{p}'")
-        return vals
-
+    aux_ids = {i: t.aux_id for i, t in plan.items()}
+    for node_id, aux_id in aux_ids.items():
+        if model.nodes[node_id].factor.family == "exponential":
+            eps = np.asarray(assignment.get(aux_id, ()), dtype=np.float64)
+            if np.any(eps <= 0.0) or np.any(eps >= 1.0):
+                raise DomainError(f"node '{node_id}': eps must lie in (0, 1)")
+    ids = tuple(i for i in model.topo_order
+                if model.nodes[i].kind in (LATENT, DETERMINISTIC))
+    values = _map_noise(model, ("z_from_eps", tuple(aux_ids.items())),
+                        aux_ids, ids, env, assignment)
     for node_id in model.topo_order:
-        node = model.nodes[node_id]
-        if node.kind == DETERMINISTIC:
-            out[node_id] = eval_link(node.factor.link, parent_values(node), env)
-        elif node.kind == LATENT:
-            transform = plan.get(node_id)
-            if transform is None:
-                if node_id not in assignment:
-                    raise UnboundInput(f"no value for centered node '{node_id}'")
-                out[node_id] = np.asarray(assignment[node_id], dtype=np.float64)
-            else:
-                if transform.aux_id not in assignment:
-                    raise UnboundInput(f"no value for noise '{transform.aux_id}'")
-                eps = np.asarray(assignment[transform.aux_id], dtype=np.float64)
-                out[node_id] = transform.g(parent_values(node), eps, env)
-        elif node.kind == AUXILIARY and node_id in assignment:
-            out[node_id] = np.asarray(assignment[node_id], dtype=np.float64)
-    return out
+        if model.nodes[node_id].kind == AUXILIARY and node_id in assignment:
+            values[node_id] = np.asarray(assignment[node_id], dtype=np.float64)
+    return values
 
 
 def eps_from_z(model, plan, assignment, theta) -> dict:
@@ -313,39 +268,24 @@ def eps_from_z(model, plan, assignment, theta) -> dict:
 
     ``assignment`` supplies a value for every latent node.  Returns ``eps``
     for planned nodes (keyed by ``aux_id``) and passes unplanned latent
-    values through unchanged.
+    values through unchanged.  The planned nodes' link values come from one
+    pass through the tape.
     """
     env = model.layout.unpack(np.asarray(theta, dtype=np.float64))
-    values = {}
-
-    def parent_values(node):
-        vals = {}
-        for p in node.parents:
-            if p in values:
-                vals[p] = values[p]
-            elif p in assignment:
-                vals[p] = np.asarray(assignment[p], dtype=np.float64)
-            else:
-                raise UnboundInput(f"no value for parent '{p}'")
-        return vals
-
+    for node_id in model.topo_order:
+        if model.nodes[node_id].kind == LATENT and node_id not in assignment:
+            raise UnboundInput(f"no value for latent node '{node_id}'")
+    ids = tuple(i for i in model.topo_order if i in plan)
+    root = _program(model, ("links", ids), _given, (), ids)
+    locs = dict(zip(ids, _run(root, env, assignment)))
     out = {}
     for node_id in model.topo_order:
         node = model.nodes[node_id]
-        if node.kind == DETERMINISTIC:
-            values[node_id] = eval_link(node.factor.link, parent_values(node), env)
-        elif node.kind == LATENT:
-            if node_id not in assignment:
-                raise UnboundInput(f"no value for latent node '{node_id}'")
-            z = np.asarray(assignment[node_id], dtype=np.float64)
-            values[node_id] = z
-            transform = plan.get(node_id)
-            if transform is None:
-                out[node_id] = z
-            else:
-                out[transform.aux_id] = transform.g_inverse(
-                    parent_values(node), z, env
-                )
-        elif node.kind == AUXILIARY and node_id in assignment:
-            values[node_id] = np.asarray(assignment[node_id], dtype=np.float64)
+        if node.kind != LATENT:
+            continue
+        z = np.asarray(assignment[node_id], dtype=np.float64)
+        if node_id in plan:
+            out[plan[node_id].aux_id] = _inverse(node, locs[node_id], z, env)
+        else:
+            out[node_id] = z
     return out

@@ -57,7 +57,8 @@ class TestTransformMaps:
         )
         t = reparam.inverse_cdf_transform(model, "r")
         eps = np.array([1.0 - np.exp(-1.0)])
-        assert t.g({}, eps, {}) == pytest.approx(0.5, rel=1e-14)
+        z = reparam.z_from_eps(model, {"r": t}, {"eps_r": eps}, np.zeros(0))
+        assert z["r"] == pytest.approx(0.5, rel=1e-14)
         back = t.g_inverse({}, np.array([1.0]), {})
         assert back == pytest.approx(0.8646647167633873, rel=1e-14)
 
@@ -67,10 +68,15 @@ class TestTransformMaps:
                         "link": {"bias": 0.25}, "scale": 0.5}]}
         )
         t = reparam.composition_transform(model, "y")
-        got = t.g({}, np.array([0.3]), {})
+
+        def g(eps):
+            return reparam.z_from_eps(model, {"y": t}, {"eps_y": eps},
+                                      np.zeros(0))["y"]
+
+        got = g(np.array([0.3]))
         assert got == pytest.approx(np.exp(0.4), rel=1e-14)
         rng = np.random.default_rng(11)
-        draws = t.g({}, rng.standard_normal((400_000, 1)), {})
+        draws = g(rng.standard_normal((400_000, 1)))
         # E exp(mu + s eps) = exp(mu + s^2 / 2)
         assert draws.mean() == pytest.approx(1.4549914146182013, abs=5e-3)
 
@@ -149,7 +155,8 @@ class TestChangeOfVariables:
         for _ in range(1000):
             u = rng.standard_normal(3)
             eps = rng.standard_normal(3)
-            z = t.g({"u": u}, eps, {})
+            z = reparam.z_from_eps(model, {"z": t}, {"u": u, "eps_z": eps},
+                                   np.zeros(0))["z"]
             lhs = stats.norm.logpdf(eps).sum()
             rhs = (stats.norm.logpdf(z, w @ u + b, s).sum()
                    + t.jacobian_log_abs_det({"u": u}, eps, {}))
@@ -168,7 +175,8 @@ class TestChangeOfVariables:
             u = rng.lognormal(0.0, 0.4, 1)
             eps = rng.random(2)
             rate = np.array([[0.3], [0.8]]) @ u + 1.5
-            z = t.g({"u": u}, eps, {})
+            z = reparam.z_from_eps(model, {"r": t}, {"u": u, "eps_r": eps},
+                                   np.zeros(0))["r"]
             lhs = 0.0  # uniform density on (0, 1)
             rhs = (stats.expon.logpdf(z, scale=1.0 / rate).sum()
                    + t.jacobian_log_abs_det({"u": u}, eps, {}))
@@ -187,7 +195,8 @@ class TestChangeOfVariables:
         for _ in range(1000):
             u = rng.standard_normal(2)
             eps = rng.standard_normal(2)
-            y = t.g({"u": u}, eps, {})
+            y = reparam.z_from_eps(model, {"y": t}, {"u": u, "eps_y": eps},
+                                   np.zeros(0))["y"]
             lhs = stats.norm.logpdf(eps).sum()
             rhs = (stats.lognorm.logpdf(y, s=0.7, scale=np.exp(w @ u)).sum()
                    + t.jacobian_log_abs_det({"u": u}, eps, {}))
@@ -319,11 +328,35 @@ class TestValidation:
         model = graph.build_model(mixed_family_spec())
         plan = reparam.full_dncp_plan(model)
         with pytest.raises(DomainError):
-            plan["r"].g({}, np.array([1.0]), {})
+            reparam.z_from_eps(model, {"r": plan["r"]},
+                               {"eps_r": np.array([1.0])}, np.zeros(0))
         with pytest.raises(DomainError):
             plan["r"].g_inverse({}, np.array([-0.5]), {})
         with pytest.raises(DomainError):
             plan["y"].g_inverse({"r": np.array([1.0])}, np.array([0.0]), {})
+
+    def test_translation_domain_errors(self):
+        model = graph.build_model({"nodes": [
+            {"id": "r", "dim": 1, "family": "exponential",
+             "link": {"bias": "param"}},
+        ]})
+        plan = reparam.full_dncp_plan(model)
+        good, bad = np.array([2.0]), np.array([-2.0])
+        for eps in (0.0, 1.0, -0.5, 1.5):
+            with pytest.raises(DomainError):
+                reparam.z_from_eps(model, plan, {"eps_r": np.array([eps])},
+                                   good)
+        for theta in (bad, np.zeros(1)):
+            with pytest.raises(DomainError):
+                reparam.z_from_eps(model, plan, {"eps_r": np.array([0.5])},
+                                   theta)
+            with pytest.raises(DomainError):
+                graph.ancestral_sample(model, theta,
+                                       np.random.default_rng(0), size=3)
+        with pytest.raises(DomainError):
+            reparam.eps_from_z(model, plan, {"r": np.array([-0.1])}, good)
+        z = reparam.z_from_eps(model, plan, {"eps_r": np.array([0.5])}, good)
+        assert z["r"] == pytest.approx(np.log(2.0) / 2.0, rel=1e-14)
 
     def test_nonpositive_scale_not_invertible(self):
         model = graph.build_model({"nodes": [

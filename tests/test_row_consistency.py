@@ -6,6 +6,8 @@ out-of-support rows.  Out-of-support rows give ``-inf`` with zero gradient
 and leave the other rows untouched.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from ncbayes import graph
 from ncbayes.errors import DomainError, ShapeError
 from ncbayes.graph import LatentPosterior, pack_coords, unpack_coords
-from ncbayes.reparam import apply_plan, full_dncp_plan
+from ncbayes.reparam import apply_plan, eps_from_z, full_dncp_plan, z_from_eps
 
 RTOL = 1e-12
 ATOL = 1e-12
@@ -221,3 +223,80 @@ def test_latent_gradient_without_free_nodes_and_with_mixed_shapes():
         graph.grad_log_joint_latents(
             CP, THETA, {**unpack_coords(CP, np.full((3, 5), 0.5)),
                         "l": np.array([0.5]), **SHARED})
+
+
+@functools.lru_cache(maxsize=None)
+def chain(families):
+    """A chain of 2-dim latent nodes with the given families; exponential
+    rates pass through a sigmoid, so they stay positive."""
+    nodes = []
+    for k, family in enumerate(families):
+        link = {"activation": "sigmoid" if family == "exponential" else "tanh",
+                "bias": "param"}
+        node = {"id": f"n{k}", "dim": 2, "family": family, "link": link}
+        if k:
+            node["parents"] = [f"n{k - 1}"]
+            link["weights"] = {f"n{k - 1}": "param"}
+        if family != "exponential":
+            node["scale"] = 0.6
+        nodes.append(node)
+    model = graph.build_model({"nodes": nodes})
+    theta = 0.5 * np.random.default_rng(5).standard_normal(model.layout.size)
+    return model, theta
+
+
+@st.composite
+def translation_cases(draw):
+    """A Gaussian/log-normal/exponential chain, a full or partial plan, and
+    the (key, family) of each value the translation's caller supplies in
+    each coordinate system."""
+    families = tuple(draw(st.sampled_from(["gaussian", "lognormal",
+                                           "exponential"]))
+                     for _ in range(draw(st.integers(1, 3))))
+    model, theta = chain(families)
+    planned = draw(st.sets(st.sampled_from(model.free_ids), min_size=1))
+    plan = {i: t for i, t in full_dncp_plan(model).items() if i in planned}
+    z_keys = [(i, model.nodes[i].factor.family) for i in model.free_ids]
+    eps_keys = [(plan[i].aux_id, plan[i].aux_family) if i in plan else key
+                for i, key in zip(model.free_ids, z_keys)]
+    return model, theta, plan, z_keys, eps_keys
+
+
+def row_batch(draw, keys, rows):
+    return {key: np.array([[draw(GOOD[family]) for _ in range(2)]
+                           for _ in range(rows)])
+            for key, family in keys}
+
+
+class TestTranslations:
+    """Row i of a batched translation equals the translation of row i."""
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_z_from_eps_rows(self, data):
+        model, theta, plan, _, eps_keys = data.draw(translation_cases())
+        rows = data.draw(st.integers(1, 5))
+        eps = row_batch(data.draw, eps_keys, rows)
+        batch = z_from_eps(model, plan, eps, theta)
+        for i in range(rows):
+            one = z_from_eps(model, plan, {k: v[i] for k, v in eps.items()},
+                             theta)
+            assert set(one) == set(batch)
+            for key, value in one.items():
+                np.testing.assert_allclose(batch[key][i], value, rtol=RTOL,
+                                           atol=ATOL)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_eps_from_z_rows(self, data):
+        model, theta, plan, z_keys, _ = data.draw(translation_cases())
+        rows = data.draw(st.integers(1, 5))
+        zs = row_batch(data.draw, z_keys, rows)
+        batch = eps_from_z(model, plan, zs, theta)
+        for i in range(rows):
+            one = eps_from_z(model, plan, {k: v[i] for k, v in zs.items()},
+                             theta)
+            assert set(one) == set(batch)
+            for key, value in one.items():
+                np.testing.assert_allclose(batch[key][i], value, rtol=RTOL,
+                                           atol=ATOL)
