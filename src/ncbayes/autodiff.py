@@ -2,21 +2,27 @@
 
 The engine targets log-densities of factored probabilistic models: scalar
 outputs assembled from a modest number of vector-valued operations.  An
-expression is a DAG of :class:`Expr` nodes; evaluating it walks the graph
-forward in topological order, and the gradient walk replays the same order
-backward, accumulating adjoints.  There is no second-order support on
+expression is a DAG of :class:`Expr` nodes.  The first call at a new set
+of input shapes compiles the DAG into one straight-line Python function of
+numpy calls: a shape-inference pass gives every node its shape, so the
+sums that fold a broadcast adjoint back to its operand's shape are written
+out in the code, and a node's first adjoint contribution is a plain
+assignment.  A gradient program runs the forward code, then the seed, then
+the backward code along the paths that reach the requested inputs; a
+forward-only program has no backward code.  Programs are cached on the
+root per input shapes and ``wrt``.  There is no second-order support on
 purpose -- curvature is obtained elsewhere by finite differences of the
 gradient.
 
 Shape conventions
 -----------------
 Values are scalars, vectors of shape ``(d,)``, or row batches of shape
-``(B, d)``.  Elementwise operations broadcast with numpy semantics, the
+``(..., d)``.  Elementwise operations broadcast with numpy semantics, the
 reductions (``gaussian_log_pdf``, ``bernoulli_log_pmf``, ``total``) sum over
-the trailing axis only, and ``affine`` treats a 2-D operand as a batch of
-rows.  Gradients of broadcast operands are summed back to the operand's own
-shape, so a parameter shared across a batch receives the batch-summed
-adjoint.
+the trailing axis only, ``affine`` treats an operand of two or more axes
+as a batch of rows, and ``stack`` adds an axis at -2.  Gradients of
+broadcast operands are summed back to the operand's own shape, so a
+parameter shared across a batch receives the batch-summed adjoint.
 
 Expression graphs are built once per model and reused across evaluations;
 each evaluation supplies fresh values for the named ``inp`` leaves.
@@ -25,6 +31,7 @@ each evaluation supplies fresh values for the named ``inp`` leaves.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,14 +53,14 @@ class Expr:
     are overloaded for readability when assembling transforms.
     """
 
-    __slots__ = ("op", "children", "value", "name", "_tape")
+    __slots__ = ("op", "children", "value", "name", "_programs")
 
     def __init__(self, op, children=(), value=None, name=None):
         self.op = op
         self.children = tuple(children)
         self.value = value  # constants only
         self.name = name  # inputs only
-        self._tape = None
+        self._programs = None
 
     def __add__(self, other):
         return add(self, as_expr(other))
@@ -116,8 +123,8 @@ def mul(a, b) -> Expr:
 def affine(weights, x, bias) -> Expr:
     """Matrix-vector product plus offset: ``weights @ x + bias``.
 
-    ``weights`` must evaluate to a 2-D array ``(m, d)``; a 2-D ``x`` is
-    treated as a batch of rows ``(B, d)`` giving ``(B, m)``.
+    ``weights`` must evaluate to a 2-D array ``(m, d)``; an ``x`` of two or
+    more axes is treated as a batch of rows ``(..., d)`` giving ``(..., m)``.
     """
     return Expr("affine", (as_expr(weights), as_expr(x), as_expr(bias)))
 
@@ -170,6 +177,14 @@ def total(x) -> Expr:
     return Expr("sum", (as_expr(x),))
 
 
+def stack(*exprs) -> Expr:
+    """Operands broadcast to one shape ``(..., d)`` and stacked on a new
+    axis -2, giving ``(..., k, d)`` for ``k`` operands."""
+    if not exprs:
+        raise ValueError("stack() needs at least one operand")
+    return Expr("stack", tuple(as_expr(e) for e in exprs))
+
+
 def outputs(*exprs) -> Expr:
     """Several expressions evaluated in one pass; the value is their tuple.
 
@@ -177,30 +192,6 @@ def outputs(*exprs) -> Expr:
     no gradient through this node.
     """
     return Expr("outputs", tuple(as_expr(e) for e in exprs))
-
-
-def _unbroadcast(grad, shape):
-    """Sum a broadcast gradient back down to the operand's shape."""
-    g = np.asarray(grad, dtype=np.float64)
-    if g.shape == shape:
-        return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
-
-
-def _expand(g):
-    """Give a trailing-axis reduction's adjoint back its summed axis."""
-    return np.asarray(g, dtype=np.float64)[..., None]
-
-
-def _sum_last(t):
-    """Sum along the trailing axis; a scalar counts as one element."""
-    t = np.asarray(t)
-    return t.sum(axis=-1) if t.ndim else t[()]
 
 
 def _topological_order(root: Expr):
@@ -219,476 +210,383 @@ def _topological_order(root: Expr):
     return order
 
 
-class _Tape:
-    """Per-root compilation: topological order plus forward/backward closures.
+class _Programs:
+    """Per-root cache: topological order, input names and the generated
+    functions, keyed by (input shapes, ``wrt``, gradient or forward-only)."""
 
-    ``wrt`` restricts which input leaves receive adjoints.  Backward
-    closures are only emitted along paths from the root to those inputs,
-    so a tape differentiated with respect to a few coordinates skips the
-    arithmetic for every other gradient.  ``wrt=None`` keeps all inputs.
+    __slots__ = ("order", "names", "functions")
+
+    def __init__(self, root):
+        self.order = _topological_order(root)
+        self.names = tuple(dict.fromkeys(
+            node.name for node in self.order if node.op == "input"))
+        self.functions = {}
+
+
+def _seed(seed, value, shape):
+    """The root adjoint: 1 for a scalar root, else the (callable's) seed,
+    which must have the root's shape."""
+    if callable(seed):
+        seed = seed(value)
+    if seed is None:
+        if shape:
+            raise ValueError("non-scalar root needs an explicit seed_adjoint")
+        return np.float64(1.0)
+    seed = np.asarray(seed, dtype=np.float64)
+    if seed.shape != shape:
+        raise ValueError(
+            f"seed_adjoint has shape {seed.shape}, the root has shape {shape}")
+    return seed
+
+
+class _Writer:
+    """Writes the straight-line code of one program.
+
+    ``kids[i]`` indexes node ``i``'s children, ``var[i]`` is the name
+    holding its value and ``shape[i]`` its shape.  The adjoint of node
+    ``i`` is ``g{i}``; ``live[i]`` says whether node ``i`` reaches a
+    differentiated input and ``started[i]`` whether its adjoint has been
+    assigned yet.
     """
 
-    __slots__ = ("order", "index", "template", "forward_ops", "backward_ops",
-                 "root_index", "input_indices")
+    def __init__(self, order, names, shapes):
+        self.order = order
+        self.index = {id(node): i for i, node in enumerate(order)}
+        self.kids = [[self.index[id(c)] for c in node.children]
+                     for node in order]
+        self.arg = {name: f"a{k}" for k, name in enumerate(names)}
+        self.bound = dict(zip(names, shapes))
+        self.namespace = {"np": np, "expit": expit, "_seed": _seed,
+                          "SIGMA_FLOOR": SIGMA_FLOOR,
+                          "HALF_LOG_2PI": _HALF_LOG_2PI}
+        self.lines = []
+        self.var, self.shape = [], []
+        self.live = self.started = None
 
-    def __init__(self, root: Expr, wrt=None):
-        self.order = _topological_order(root)
-        self.index = {id(node): i for i, node in enumerate(self.order)}
-        self.template = [
-            node.value if node.op == "constant" else None for node in self.order
-        ]
-        self.root_index = self.index[id(root)]
-        self.input_indices = [
-            (node.name, i) for i, node in enumerate(self.order)
-            if node.op == "input" and (wrt is None or node.name in wrt)
-        ]
-        live = []
-        self.forward_ops = []
-        self.backward_ops = []
+    def emit(self, line):
+        self.lines.append("    " + line)
+
+    def emit_sum(self, v, terms):
+        """``v = terms[0] + terms[1] + ...`` as a running sum in lines of at
+        most 100 operands: the same left-to-right order, and Python's
+        compiler does not recurse once per operand."""
+        for k in range(0, len(terms), 100):
+            self.emit(f"{v} = " + " + ".join(
+                terms[:100] if k == 0 else [v, *terms[k:k + 100]]))
+
+    def const(self, i, value, tag="c"):
+        name = f"{tag}_{i}"
+        self.namespace[name] = value
+        return name
+
+    # -- forward ----------------------------------------------------------------
+
+    def forward(self):
         for i, node in enumerate(self.order):
-            ci = tuple(self.index[id(c)] for c in node.children)
-            if node.op == "input":
-                live.append(wrt is None or node.name in wrt)
+            ci = self.kids[i]
+            var = [self.var[j] for j in ci]
+            shp = [self.shape[j] for j in ci]
+            v = f"v{i}"
+            op = node.op
+            if op == "constant":
+                v, shape = self.const(i, node.value), node.value.shape
+            elif op == "input":
+                v, shape = self.arg[node.name], self.bound[node.name]
+            elif op == "add":
+                self.emit_sum(v, var)
+                shape = np.broadcast_shapes(*shp)
+            elif op == "mul":
+                self.emit(f"{v} = {var[0]} * {var[1]}")
+                shape = np.broadcast_shapes(*shp)
+            elif op == "affine":
+                (w, x, b), (sw, sx, sb) = var, shp
+                if len(sw) != 2 or not sx:
+                    raise ValueError("affine needs (m, d) weights and a vector "
+                                     f"or batch operand, got {sw} and {sx}")
+                product = sx[:-1] + sw[:1]
+                if len(sx) == 1:
+                    self.emit(f"{v} = {w} @ {x} + {b}")
+                elif len(sx) == 2:
+                    self.emit(f"{v} = {x} @ {w}.T + {b}")
+                else:  # one 2-D product, not a stack of tiny ones
+                    self.emit(f"{v} = ({x}.reshape(-1, {sw[1]}) @ {w}.T)"
+                              f".reshape({product}) + {b}")
+                shape = np.broadcast_shapes(product, sb)
+            elif op in _ELEMENTWISE:
+                self.emit(f"{v} = " + _ELEMENTWISE[op].format(x=var[0]))
+                shape = shp[0]
+            elif op == "gaussianLogPdf":
+                shape = self._forward_gaussian(i, node, var, shp)
+            elif op == "bernoulliLogPmf":
+                x, a = var
+                self.emit(f"t{i} = {x} * {a} - np.logaddexp(0.0, {a})")
+                shape = self._sum_last(v, f"t{i}", np.broadcast_shapes(*shp))
+            elif op == "sum":
+                shape = self._sum_last(v, var[0], shp[0])
+            elif op == "stack":
+                full = np.broadcast_shapes(*shp)
+                if not full:
+                    raise ValueError("stack() needs operands with a trailing axis")
+                shape = full[:-1] + (len(var),) + full[-1:]
+                self.emit(f"{v} = np.empty({shape})")
+                for k, x in enumerate(var):
+                    self.emit(f"{v}[..., {k}, :] = {x}")
+            elif op == "outputs":
+                self.emit(f"{v} = ({''.join(x + ', ' for x in var)})")
+                shape = None
             else:
-                live.append(any(live[j] for j in ci))
-            fwd = _FORWARD_BUILDERS[node.op](node, i, ci)
-            if fwd is not None:
-                self.forward_ops.append(fwd)
-            if live[i] and node.op not in ("input", "constant"):
-                cl = tuple(live[j] for j in ci)
-                bwd = _BACKWARD_BUILDERS[node.op](node, i, ci, cl)
-                if bwd is not None:
-                    self.backward_ops.append(bwd)
-        self.backward_ops.reverse()
+                raise ValueError(f"unknown op '{op}'")
+            self.var.append(v)
+            self.shape.append(shape)
 
-    def run_forward(self, bindings):
-        vals = self.template.copy()
-        for op in self.forward_ops:
-            op(vals, bindings)
-        return vals
+    def _sum_last(self, v, t, shape):
+        """``v`` = sum of ``t`` over its trailing axis (a scalar counts as
+        one element); returns the shape of ``v``.
 
-
-def _tape_for(root: Expr, wrt=None) -> _Tape:
-    tapes = root._tape
-    if tapes is None:
-        tapes = root._tape = {}
-    tape = tapes.get(wrt)
-    if tape is None:
-        tape = tapes[wrt] = _Tape(root, wrt)
-    return tape
-
-
-# -- forward closures --------------------------------------------------------
-
-def _fwd_constant(node, i, ci):
-    return None
-
-
-def _fwd_input(node, i, ci):
-    name = node.name
-
-    def run(vals, bindings, i=i, name=name):
-        try:
-            v = bindings[name]
-        except KeyError:
-            raise UnboundInput(f"no value bound for input '{name}'") from None
-        vals[i] = np.asarray(v, dtype=np.float64)
-
-    return run
-
-
-def _fwd_add(node, i, ci):
-    def run(vals, bindings, i=i, ci=ci):
-        acc = vals[ci[0]]
-        for j in ci[1:]:
-            acc = acc + vals[j]
-        vals[i] = acc
-
-    return run
-
-
-def _fwd_mul(node, i, ci):
-    a, b = ci
-
-    def run(vals, bindings, i=i, a=a, b=b):
-        vals[i] = vals[a] * vals[b]
-
-    return run
-
-
-def _fwd_affine(node, i, ci):
-    wi, xi, bi = ci
-
-    def run(vals, bindings, i=i, wi=wi, xi=xi, bi=bi):
-        w, x, b = vals[wi], vals[xi], vals[bi]
-        if x.ndim <= 1:
-            vals[i] = w @ x + b
+        numpy adds fewer than 8 elements in order, so a short axis is
+        summed by that many whole-array adds, the same bits without a
+        per-row reduction loop."""
+        if not shape:
+            self.emit(f"{v} = {t}[()]")
+        elif shape[-1] < 8:
+            self.emit(f"{v} = " + " + ".join(
+                f"{t}[..., {k}]" for k in range(shape[-1])))
         else:
-            vals[i] = x @ w.T + b
+            self.emit(f"{v} = {t}.sum(axis=-1)")
+        return shape[:-1]
 
-    return run
-
-
-def _fwd_tanh(node, i, ci):
-    j = ci[0]
-
-    def run(vals, bindings, i=i, j=j):
-        vals[i] = np.tanh(vals[j])
-
-    return run
-
-
-def _fwd_sigmoid(node, i, ci):
-    j = ci[0]
-
-    def run(vals, bindings, i=i, j=j):
-        vals[i] = expit(vals[j])
-
-    return run
-
-
-def _fwd_log(node, i, ci):
-    j = ci[0]
-
-    def run(vals, bindings, i=i, j=j):
-        vals[i] = np.log(vals[j])
-
-    return run
-
-
-def _fwd_exp(node, i, ci):
-    j = ci[0]
-
-    def run(vals, bindings, i=i, j=j):
-        vals[i] = np.exp(vals[j])
-
-    return run
-
-
-def _fwd_square(node, i, ci):
-    j = ci[0]
-
-    def run(vals, bindings, i=i, j=j):
-        x = vals[j]
-        vals[i] = x * x
-
-    return run
-
-
-def _fwd_reciprocal(node, i, ci):
-    j = ci[0]
-
-    def run(vals, bindings, i=i, j=j):
-        vals[i] = 1.0 / vals[j]
-
-    return run
-
-
-def _fwd_gaussian(node, i, ci):
-    xi, mi, si = ci
-    sc = node.children[2]
-    if sc.op == "constant":
-        # fixed scale: fold the clamp, the reciprocal, and log s + c once
-        s = np.maximum(np.asarray(sc.value, dtype=np.float64), SIGMA_FLOOR)
-        inv = 1.0 / s
-        offset = np.log(s) + _HALF_LOG_2PI
-
-        def run(vals, bindings, i=i, xi=xi, mi=mi, inv=inv, offset=offset):
-            r = (vals[xi] - vals[mi]) * inv
-            t = -0.5 * (r * r) - offset
-            vals[i] = _sum_last(t)
-
-        return run
-
-    def run(vals, bindings, i=i, xi=xi, mi=mi, si=si):
-        x, mu, sigma = vals[xi], vals[mi], vals[si]
-        s = np.maximum(sigma, SIGMA_FLOOR)
-        r = (x - mu) / s
-        t = -0.5 * r * r - np.log(s) - _HALF_LOG_2PI
-        vals[i] = _sum_last(t)
-
-    return run
-
-
-def _fwd_bernoulli(node, i, ci):
-    xi, ai = ci
-
-    def run(vals, bindings, i=i, xi=xi, ai=ai):
-        x, a = vals[xi], vals[ai]
-        t = x * a - np.logaddexp(0.0, a)
-        vals[i] = _sum_last(t)
-
-    return run
-
-
-def _fwd_sum(node, i, ci):
-    j = ci[0]
-
-    def run(vals, bindings, i=i, j=j):
-        vals[i] = _sum_last(vals[j])
-
-    return run
-
-
-def _fwd_outputs(node, i, ci):
-    def run(vals, bindings, i=i, ci=ci):
-        vals[i] = tuple(vals[j] for j in ci)
-
-    return run
-
-
-_FORWARD_BUILDERS = {
-    "constant": _fwd_constant,
-    "input": _fwd_input,
-    "add": _fwd_add,
-    "mul": _fwd_mul,
-    "affine": _fwd_affine,
-    "tanh": _fwd_tanh,
-    "sigmoid": _fwd_sigmoid,
-    "log": _fwd_log,
-    "exp": _fwd_exp,
-    "square": _fwd_square,
-    "reciprocal": _fwd_reciprocal,
-    "gaussianLogPdf": _fwd_gaussian,
-    "bernoulliLogPmf": _fwd_bernoulli,
-    "sum": _fwd_sum,
-    "outputs": _fwd_outputs,
-}
-
-
-# -- backward closures --------------------------------------------------------
-
-def _accumulate(adj, j, g):
-    cur = adj[j]
-    adj[j] = g if cur is None else cur + g
-
-
-def _bwd_none(node, i, ci, cl):
-    return None
-
-
-def _bwd_add(node, i, ci, cl):
-    targets = tuple(j for j, alive in zip(ci, cl) if alive)
-
-    def run(vals, adj, i=i, targets=targets):
-        g = adj[i]
-        if g is None:
-            return
-        for j in targets:
-            _accumulate(adj, j, _unbroadcast(g, vals[j].shape))
-
-    return run
-
-
-def _bwd_mul(node, i, ci, cl):
-    a, b = ci
-    la, lb = cl
-
-    def run(vals, adj, i=i, a=a, b=b, la=la, lb=lb):
-        g = adj[i]
-        if g is None:
-            return
-        if la:
-            _accumulate(adj, a, _unbroadcast(g * vals[b], vals[a].shape))
-        if lb:
-            _accumulate(adj, b, _unbroadcast(g * vals[a], vals[b].shape))
-
-    return run
-
-
-def _bwd_affine(node, i, ci, cl):
-    wi, xi, bi = ci
-    lw, lx, lb = cl
-
-    def run(vals, adj, i=i, wi=wi, xi=xi, bi=bi, lw=lw, lx=lx, lb=lb):
-        g = adj[i]
-        if g is None:
-            return
-        w, x = vals[wi], vals[xi]
-        if x.ndim <= 1:
-            if lw:
-                _accumulate(adj, wi, np.outer(g, x))
-            if lx:
-                _accumulate(adj, xi, w.T @ g)
+    def _forward_gaussian(self, i, node, var, shp):
+        x, mu, sigma = var
+        scale = node.children[2]
+        if scale.op == "constant":
+            # fixed scale: fold the clamp, the reciprocal, and log s + c once
+            s = np.maximum(scale.value, SIGMA_FLOOR)
+            inv = self.const(i, 1.0 / s, "inv")
+            offset = self.const(i, np.log(s) + _HALF_LOG_2PI, "off")
+            self.emit(f"d{i} = {x} - {mu}")
+            self.emit(f"r{i} = d{i} * {inv}")
+            self.emit(f"t{i} = -0.5 * (r{i} * r{i}) - {offset}")
         else:
-            if lw:
-                _accumulate(adj, wi, g.T @ x)
-            if lx:
-                _accumulate(adj, xi, g @ w)
-        if lb:
-            _accumulate(adj, bi, _unbroadcast(g, vals[bi].shape))
+            self.emit(f"s{i} = np.maximum({sigma}, SIGMA_FLOOR)")
+            self.emit(f"r{i} = ({x} - {mu}) / s{i}")
+            self.emit(f"t{i} = -0.5 * r{i} * r{i} - np.log(s{i}) - HALF_LOG_2PI")
+        return self._sum_last(f"v{i}", f"t{i}", np.broadcast_shapes(*shp))
 
-    return run
+    # -- backward ---------------------------------------------------------------
 
+    def backward(self, root, wrt):
+        order = self.order
+        self.live = []
+        for i, node in enumerate(order):
+            if node.op == "input":
+                self.live.append(wrt is None or node.name in wrt)
+            else:
+                self.live.append(any(self.live[j] for j in self.kids[i]))
+        self.started = [False] * len(order)
+        r = self.index[id(root)]
+        self.emit(f"g{r} = _seed(seed, {self.var[r]}, {self.shape[r]})")
+        self.started[r] = True
+        for i in reversed(range(len(order))):
+            if (self.live[i] and self.started[i]
+                    and order[i].op not in ("input", "constant")):
+                self._backward_node(i, order[i])
 
-def _bwd_tanh(node, i, ci, cl):
-    j = ci[0]
-
-    def run(vals, adj, i=i, j=j):
-        g = adj[i]
-        if g is None:
+    def add_to(self, j, expr):
+        """Add ``expr`` to the adjoint of node ``j`` if it needs one."""
+        if not self.live[j]:
             return
-        t = vals[i]
-        _accumulate(adj, j, g * (1.0 - t * t))
+        if self.started[j]:
+            self.emit(f"g{j} = g{j} + ({expr})")
+        else:
+            self.emit(f"g{j} = {expr}")
+            self.started[j] = True
 
-    return run
+    def fold(self, expr, shape, target):
+        """``expr`` (of ``shape``) summed back down to ``target`` by the
+        sums a broadcast to ``shape`` implies."""
+        if shape == target:
+            return expr
+        full = np.broadcast_shapes(shape, target)
+        if full != shape:  # the adjoint itself broadcasts up first
+            expr, shape = f"np.broadcast_to({expr}, {full})", full
+            if shape == target:
+                return expr + ".copy()"
+        while len(shape) > len(target):
+            expr, shape = f"({expr}).sum(axis=0)", shape[1:]
+        for axis, n in enumerate(target):
+            if n == 1 and shape[axis] != 1:
+                expr = f"({expr}).sum(axis={axis}, keepdims=True)"
+        return expr
 
-
-def _bwd_sigmoid(node, i, ci, cl):
-    j = ci[0]
-
-    def run(vals, adj, i=i, j=j):
-        g = adj[i]
-        if g is None:
-            return
-        s = vals[i]
-        _accumulate(adj, j, g * s * (1.0 - s))
-
-    return run
-
-
-def _bwd_log(node, i, ci, cl):
-    j = ci[0]
-
-    def run(vals, adj, i=i, j=j):
-        g = adj[i]
-        if g is None:
-            return
-        _accumulate(adj, j, g / vals[j])
-
-    return run
-
-
-def _bwd_exp(node, i, ci, cl):
-    j = ci[0]
-
-    def run(vals, adj, i=i, j=j):
-        g = adj[i]
-        if g is None:
-            return
-        _accumulate(adj, j, g * vals[i])
-
-    return run
-
-
-def _bwd_square(node, i, ci, cl):
-    j = ci[0]
-
-    def run(vals, adj, i=i, j=j):
-        g = adj[i]
-        if g is None:
-            return
-        _accumulate(adj, j, 2.0 * g * vals[j])
-
-    return run
-
-
-def _bwd_reciprocal(node, i, ci, cl):
-    j = ci[0]
-
-    def run(vals, adj, i=i, j=j):
-        g = adj[i]
-        if g is None:
-            return
-        y = vals[i]
-        _accumulate(adj, j, -g * y * y)
-
-    return run
-
-
-def _bwd_gaussian(node, i, ci, cl):
-    xi, mi, si = ci
-    lx, lm, ls = cl
-    sc = node.children[2]
-    if sc.op == "constant" and not ls:
-        # fixed scale: d/dx = -(x - mu)/s^2 with the clamp folded in
-        s = np.maximum(np.asarray(sc.value, dtype=np.float64), SIGMA_FLOOR)
-        inv2 = 1.0 / (s * s)
-
-        def run(vals, adj, i=i, xi=xi, mi=mi, inv2=inv2, lx=lx, lm=lm):
-            g = adj[i]
-            if g is None:
-                return
-            x, mu = vals[xi], vals[mi]
-            core = (x - mu) * inv2
-            ge = _expand(g)
-            gc = ge * core
-            if lx:
-                _accumulate(adj, xi, _unbroadcast(-gc, x.shape))
-            if lm:
-                _accumulate(adj, mi, _unbroadcast(gc, np.shape(mu)))
-
-        return run
-
-    def run(vals, adj, i=i, xi=xi, mi=mi, si=si, lx=lx, lm=lm, ls=ls):
-        g = adj[i]
-        if g is None:
-            return
-        x, mu, sigma = vals[xi], vals[mi], vals[si]
-        s = np.maximum(sigma, SIGMA_FLOOR)
-        r = (x - mu) / s
-        ge = _expand(g)
-        if lx:
-            _accumulate(adj, xi, _unbroadcast(ge * (-r / s), x.shape))
-        if lm:
-            _accumulate(adj, mi, _unbroadcast(ge * (r / s), np.shape(mu)))
-        if ls:
-            # clamped scale entries get zero adjoint
-            ds = np.where(sigma >= SIGMA_FLOOR, (r * r - 1.0) / s, 0.0)
-            _accumulate(adj, si, _unbroadcast(ge * ds, sigma.shape))
-
-    return run
-
-
-def _bwd_bernoulli(node, i, ci, cl):
-    xi, ai = ci
-    lx, la = cl
-
-    def run(vals, adj, i=i, xi=xi, ai=ai, lx=lx, la=la):
-        g = adj[i]
-        if g is None:
-            return
-        x, a = vals[xi], vals[ai]
-        ge = _expand(g)
-        if la:
-            _accumulate(adj, ai, _unbroadcast(ge * (x - expit(a)), a.shape))
-        if lx:
+    def _backward_node(self, i, node):
+        ci = self.kids[i]
+        var = [self.var[j] for j in ci]
+        shp = [self.shape[j] for j in ci]
+        live = [self.live[j] for j in ci]
+        g, shape, op = f"g{i}", self.shape[i], node.op
+        if op == "add":
+            for j, s in zip(ci, shp):
+                self.add_to(j, self.fold(g, shape, s))
+        elif op == "mul":
+            (a, b), (sa, sb) = ci, shp
+            self.add_to(a, self.fold(f"{g} * {var[1]}", shape, sa))
+            self.add_to(b, self.fold(f"{g} * {var[0]}", shape, sb))
+        elif op == "affine":
+            (wi, xi, bi), (w, x, _), (sw, sx, sb) = ci, var, shp
+            product = sx[:-1] + sw[:1]
+            gp = self.fold(g, shape, product)
+            if gp != g and (live[0] or live[1]):
+                self.emit(f"p{i} = {gp}")
+                gp = f"p{i}"
+            if len(sx) == 1:
+                self.add_to(wi, f"np.outer({gp}, {x})")
+                self.add_to(xi, f"{w}.T @ {gp}")
+            elif len(sx) == 2:
+                self.add_to(wi, f"{gp}.T @ {x}")
+                self.add_to(xi, f"{gp} @ {w}")
+            else:
+                self.add_to(wi, f"{gp}.reshape(-1, {sw[0]}).T @ "
+                                f"{x}.reshape(-1, {sw[1]})")
+                self.add_to(xi, f"({gp}.reshape(-1, {sw[0]}) @ {w})"
+                                f".reshape({sx})")
+            self.add_to(bi, self.fold(g, shape, sb))
+        elif op in _ELEMENTWISE:
+            adjoint = _ELEMENTWISE_ADJOINT[op]
+            self.add_to(ci[0], adjoint.format(g=g, x=var[0], y=self.var[i]))
+        elif op == "gaussianLogPdf":
+            self._backward_gaussian(i, node, ci, var, shp)
+        elif op == "bernoulliLogPmf":
+            (xi, ai), (x, a), (sx, sa) = ci, var, shp
+            self.emit(f"e{i} = {g}[..., None]")
+            ge = shape + (1,)
+            self.add_to(ai, self.fold(f"e{i} * ({x} - expit({a}))",
+                                      np.broadcast_shapes(ge, sx, sa), sa))
             # d/dx of the log-mass is log sig(a) - log sig(-a) = a
-            _accumulate(adj, xi, _unbroadcast(ge * a, np.shape(x)))
+            self.add_to(xi, self.fold(f"e{i} * {a}",
+                                      np.broadcast_shapes(ge, sa), sx))
+        elif op == "sum":
+            (sx,) = shp
+            self.add_to(ci[0], f"{g}[..., None].repeat({sx[-1]}, axis=-1)"
+                        if sx else g)
+        elif op == "stack":
+            full = np.broadcast_shapes(*shp)
+            for k, (j, s) in enumerate(zip(ci, shp)):
+                self.add_to(j, self.fold(f"{g}[..., {k}, :]", full, s))
 
-    return run
-
-
-def _bwd_sum(node, i, ci, cl):
-    j = ci[0]
-
-    def run(vals, adj, i=i, j=j):
-        g = adj[i]
-        if g is None:
+    def _backward_gaussian(self, i, node, ci, var, shp):
+        (xi, mi, si), sigma = ci, var[2]
+        self.emit(f"e{i} = g{i}[..., None]")
+        full = np.broadcast_shapes(self.shape[i] + (1,), *shp)
+        scale = node.children[2]
+        if scale.op == "constant":
+            # fixed scale: d/dx = -(x - mu)/s^2 with the clamp folded in
+            s = np.maximum(scale.value, SIGMA_FLOOR)
+            inv2 = self.const(i, 1.0 / (s * s), "inv2")
+            self.emit(f"q{i} = e{i} * (d{i} * {inv2})")
+            self.add_to(xi, self.fold(f"-q{i}", full, shp[0]))
+            self.add_to(mi, self.fold(f"q{i}", full, shp[1]))
             return
-        x = vals[j]
-        _accumulate(adj, j, _expand(g) * np.ones_like(x))
+        self.add_to(xi, self.fold(f"e{i} * (-r{i} / s{i})", full, shp[0]))
+        self.add_to(mi, self.fold(f"e{i} * (r{i} / s{i})", full, shp[1]))
+        # clamped scale entries get zero adjoint
+        self.add_to(si, self.fold(
+            f"e{i} * np.where({sigma} >= SIGMA_FLOOR, (r{i} * r{i} - 1.0) / s{i}, 0.0)",
+            full, shp[2]))
 
-    return run
+    def grads(self):
+        """Dict display of each differentiated input's summed adjoint."""
+        parts = {}
+        for i, node in enumerate(self.order):
+            if node.op == "input" and self.live[i]:
+                parts.setdefault(node.name, []).append(i)
+        items = []
+        for name, nodes in parts.items():
+            total = f"g{nodes[0]}"
+            if not self.shape[nodes[0]]:
+                total = f"np.asarray({total}, dtype=np.float64)"
+            if len(nodes) > 1:
+                self.emit_sum(f"g{nodes[0]}",
+                              [total] + [f"g{j}" for j in nodes[1:]])
+                total = f"g{nodes[0]}"
+            items.append(f"{name!r}: {total}")
+        return "{" + ", ".join(items) + "}"
 
 
-_BACKWARD_BUILDERS = {
-    "constant": _bwd_none,
-    "input": _bwd_none,
-    "add": _bwd_add,
-    "mul": _bwd_mul,
-    "affine": _bwd_affine,
-    "tanh": _bwd_tanh,
-    "sigmoid": _bwd_sigmoid,
-    "log": _bwd_log,
-    "exp": _bwd_exp,
-    "square": _bwd_square,
-    "reciprocal": _bwd_reciprocal,
-    "gaussianLogPdf": _bwd_gaussian,
-    "bernoulliLogPmf": _bwd_bernoulli,
-    "sum": _bwd_sum,
-    "outputs": _bwd_none,
+_ELEMENTWISE = {
+    "tanh": "np.tanh({x})",
+    "sigmoid": "expit({x})",
+    "log": "np.log({x})",
+    "exp": "np.exp({x})",
+    "square": "{x} * {x}",
+    "reciprocal": "1.0 / {x}",
 }
+
+# adjoint of the operand ``x`` given the node's adjoint ``g`` and value ``y``
+_ELEMENTWISE_ADJOINT = {
+    "tanh": "{g} * (1.0 - {y} * {y})",
+    "sigmoid": "{g} * {y} * (1.0 - {y})",
+    "log": "{g} / {x}",
+    "exp": "{g} * {y}",
+    "square": "2.0 * {g} * {x}",
+    "reciprocal": "-{g} * {y} * {y}",
+}
+
+# the writer's temporaries: values, adjoints and per-node intermediates
+_TEMPORARY = re.compile(r"\b[vtdrsqepg]\d+\b")
+
+
+def _free_dead(lines):
+    """``lines`` with each temporary deleted after its last use, so a large
+    batch reuses freed buffers instead of holding every intermediate."""
+    names = [dict.fromkeys(_TEMPORARY.findall(line)) for line in lines]
+    last = {name: k for k, used in enumerate(names) for name in used}
+    out = []
+    for k, line in enumerate(lines[:-1]):
+        out.append(line)
+        dead = [name for name in names[k] if last[name] == k]
+        if dead:
+            out.append(f"    del {', '.join(dead)}")
+    return out + lines[-1:]
+
+
+def _generate(programs, root, shapes, wrt, gradient):
+    """Source, compiled, of one program for ``root`` at input ``shapes``."""
+    writer = _Writer(programs.order, programs.names, shapes)
+    writer.forward()
+    r = writer.index[id(root)]
+    value = writer.var[r]
+    if writer.shape[r] == ():
+        value = f"float({value})"
+    args = list(writer.arg.values())
+    if gradient:
+        writer.backward(root, wrt)
+        value = f"{value}, {writer.grads()}"
+        args.append("seed")
+    lines = _free_dead(writer.lines + [f"    return {value}"])
+    source = "\n".join([f"def program({', '.join(args)}):", *lines, ""])
+    namespace = writer.namespace
+    exec(compile(source, "<ncbayes.autodiff program>", "exec"), namespace)
+    return namespace["program"]
+
+
+def _prepare(root, bindings, wrt, gradient):
+    """The program for these bindings' shapes, and its arguments."""
+    programs = root._programs
+    if programs is None:
+        programs = root._programs = _Programs(root)
+    try:
+        args = [np.asarray(bindings[name], dtype=np.float64)
+                for name in programs.names]
+    except KeyError:
+        missing = next(n for n in programs.names if n not in bindings)
+        raise UnboundInput(f"no value bound for input '{missing}'") from None
+    shapes = tuple([a.shape for a in args])
+    key = (shapes, wrt, gradient)
+    function = programs.functions.get(key)
+    if function is None:
+        function = programs.functions[key] = _generate(
+            programs, root, shapes, wrt, gradient)
+    return function, args
 
 
 @dataclass
@@ -702,12 +600,8 @@ class GradientRecord:
 def evaluate(root: Expr, bindings: dict):
     """Forward pass only; returns a float for scalar-valued expressions and
     a tuple for :func:`outputs`."""
-    tape = _tape_for(root)
-    vals = tape.run_forward(bindings)
-    out = vals[tape.root_index]
-    if isinstance(out, tuple) or np.ndim(out) != 0:
-        return out
-    return float(out)
+    function, args = _prepare(root, bindings, None, False)
+    return function(*args)
 
 
 def evaluate_with_gradient(root: Expr, bindings: dict, seed_adjoint=None,
@@ -721,11 +615,11 @@ def evaluate_with_gradient(root: Expr, bindings: dict, seed_adjoint=None,
     bindings : dict
         Values for every ``inp`` leaf, keyed by name.
     seed_adjoint : array or callable, optional
-        Adjoint of the root.  Defaults to 1 for scalar roots; required for
-        batched (vector-valued) roots, where it weights each batch row.  A
-        callable receives the root value after the forward pass and returns
-        the adjoint, so a seed that depends on the value costs no second
-        forward pass.
+        Adjoint of the root, of the root's shape.  Defaults to 1 for scalar
+        roots; required for batched (vector-valued) roots, where it weights
+        each batch row.  A callable receives the root value after the
+        forward pass and returns the adjoint, so a seed that depends on the
+        value costs no second forward pass.
     wrt : frozenset of str, optional
         Input names to differentiate with respect to.  When given, the
         reverse pass skips every path that only reaches other inputs and
@@ -740,30 +634,8 @@ def evaluate_with_gradient(root: Expr, bindings: dict, seed_adjoint=None,
     """
     if root.op == "outputs":
         raise ValueError("a multi-output expression has no gradient")
-    tape = _tape_for(root, wrt)
-    vals = tape.run_forward(bindings)
-    out = vals[tape.root_index]
-    adj = [None] * len(vals)
-    if callable(seed_adjoint):
-        seed_adjoint = seed_adjoint(out)
-    if seed_adjoint is None:
-        if np.ndim(out) != 0:
-            raise ValueError("non-scalar root needs an explicit seed_adjoint")
-        adj[tape.root_index] = np.float64(1.0)
-    else:
-        adj[tape.root_index] = np.asarray(seed_adjoint, dtype=np.float64)
-    for op in tape.backward_ops:
-        op(vals, adj)
-    grads = {}
-    for name, i in tape.input_indices:
-        g = adj[i]
-        if g is None:
-            g = np.zeros_like(vals[i])
-        if name in grads:
-            grads[name] = grads[name] + g
-        else:
-            grads[name] = np.asarray(g, dtype=np.float64)
-    value = float(out) if np.ndim(out) == 0 else out
+    function, args = _prepare(root, bindings, wrt, True)
+    value, grads = function(*args, seed_adjoint)
     return GradientRecord(value=value, grads=grads)
 
 

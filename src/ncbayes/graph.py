@@ -488,38 +488,87 @@ def _given(node, link, param_exprs):
     return link if node.kind == DETERMINISTIC else ad.inp(node.id)
 
 
+def _coeff_key(coeff):
+    """Equal keys for the same parameter block or equal constants."""
+    if coeff is None or isinstance(coeff, ParamRef):
+        return coeff
+    coeff = np.asarray(coeff, dtype=np.float64)
+    return coeff.shape, coeff.tobytes()
+
+
+def _signature(model, node):
+    """Nodes with equal signatures have terms of the same expression over
+    different values; a :class:`CustomLink` node has none."""
+    factor, link = node.factor, node.factor.link
+    if isinstance(link, CustomLink):
+        return None
+    key = (factor.family, node.dim, _coeff_key(factor.scale))
+    if link is not None:
+        key += (link.activation, _coeff_key(link.bias),
+                tuple((_coeff_key(w), model.nodes[p].dim) for p, w in link.weights))
+    return key
+
+
+def _term(family, value, link, scale):
+    """Log-density of ``value`` summed over its trailing axis."""
+    if family == "gaussian":
+        return ad.gaussian_log_pdf(value, link, scale)
+    if family == "bernoulli":
+        return ad.bernoulli_log_pmf(value, link)
+    if family == "exponential":
+        return ad.total(ad.log(link)) - ad.total(ad.mul(link, value))
+    if family == "lognormal":
+        return (ad.gaussian_log_pdf(ad.log(value), link, scale)
+                - ad.total(ad.log(value)))
+    return ad.gaussian_log_pdf(value, ad.constant(0.0), ad.constant(1.0))
+
+
 def _compile(model, observed_only=False):
+    """The joint log-density (or only the observed nodes' terms) as one
+    expression, cached on the model.
+
+    Non-deterministic nodes with equal :func:`_signature` -- family, dim,
+    scale, and an affine link with the same activation, bias and weight
+    coefficient and parent dim at each position -- share one term: their
+    values and each position's parent values are stacked on a group axis,
+    the family's term is built once over the stacks and summed over that
+    axis.  Terms are leaves of the joint's sum, so this needs no
+    independence analysis.  Custom-link nodes keep a term of their own.
+    """
     key = "obs" if observed_only else "joint"
     cached = model._compiled.get(key)
     if cached is not None:
         return cached
 
     values, links, param_exprs = _node_exprs(model, _given)
-    terms = []
+    groups = {}
     for node_id in model.topo_order:
         node = model.nodes[node_id]
-        if node.kind == DETERMINISTIC:
+        # uniform noise has density 1 on (0, 1); support is enforced apart
+        if node.kind == DETERMINISTIC or node.factor.family == "uniform_aux":
             continue
         if observed_only and node.kind != OBSERVED:
             continue
-        factor = node.factor
-        value, link = values[node_id], links.get(node_id)
-        family = factor.family
-        if family == "gaussian":
-            terms.append(ad.gaussian_log_pdf(value, link, _coeff_expr(factor.scale, param_exprs)))
-        elif family == "bernoulli":
-            terms.append(ad.bernoulli_log_pmf(value, link))
-        elif family == "exponential":
-            terms.append(ad.total(ad.log(link)) - ad.total(ad.mul(link, value)))
-        elif family == "lognormal":
-            terms.append(
-                ad.gaussian_log_pdf(ad.log(value), link, _coeff_expr(factor.scale, param_exprs))
-                - ad.total(ad.log(value))
-            )
-        elif family == "std_normal_aux":
-            terms.append(ad.gaussian_log_pdf(value, ad.constant(0.0), ad.constant(1.0)))
-        elif family == "uniform_aux":
-            pass  # density 1 on (0, 1); support enforced separately
+        signature = _signature(model, node)
+        groups.setdefault(node_id if signature is None else signature,
+                          []).append(node)
+    terms = []
+    for members in groups.values():
+        node, factor = members[0], members[0].factor
+        scale = (None if factor.scale is None
+                 else _coeff_expr(factor.scale, param_exprs))
+        if len(members) == 1:
+            terms.append(_term(factor.family, values[node.id],
+                               links.get(node.id), scale))
+            continue
+        link = factor.link
+        if link is not None:
+            parents = {pid: ad.stack(*(values[m.factor.link.weights[k][0]]
+                                       for m in members))
+                       for k, (pid, _) in enumerate(link.weights)}
+            link = _link_expr(link, node, parents, param_exprs)
+        value = ad.stack(*(values[m.id] for m in members))
+        terms.append(ad.total(_term(factor.family, value, link, scale)))
 
     root = ad.add(*terms) if terms else ad.constant(0.0)
     value_ids = tuple(

@@ -15,6 +15,7 @@ import ncbayes
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
+import layers  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -61,3 +62,34 @@ def test_evaluators_built_as_the_benchmark_builds_them():
     value, grad = post.value_and_grad(np.zeros((4, post.dim)))
     assert value.shape == (4,) and grad.shape == (4, post.dim)
     assert np.all(np.isfinite(value))
+
+
+def test_one_posterior_call_is_one_traced_tape_call():
+    """The tracer counts tape calls and rows at
+    ``autodiff.evaluate_with_gradient``, which the evaluator must call
+    through the module attribute with ``seed_adjoint`` as a keyword."""
+    model, theta = workloads.SampleDbn.build(ncbayes, -1.0)
+    draw = ncbayes.graph.ancestral_sample(model, theta,
+                                          np.random.default_rng(1))
+    data = {i: draw[i] for i in model.observed_ids}
+    post = ncbayes.hmc.LatentPosterior(model, theta, data)
+    q = np.random.default_rng(2).standard_normal((16, post.dim))
+    expected = post.value_and_grad(q)
+    tracer = tracing.Tracer(ncbayes)
+    with tracer.installed():
+        calls, rows = tracer.grad_calls, tracer.rows_evaluated
+        value, grad = post.value_and_grad(q)
+        assert tracer.grad_calls - calls == 1
+        assert tracer.rows_evaluated - rows == 16
+    np.testing.assert_array_equal(value, expected[0])
+    np.testing.assert_array_equal(grad, expected[1])
+
+    # the per-layer tape figures drive the compiled joint directly
+    assignment = {**data, **ncbayes.graph.unpack_coords(model, q)}
+    case = layers.TapeCase(ncbayes, model, theta, assignment, 16,
+                           frozenset(model.free_ids))
+    np.testing.assert_array_equal(case.forward(), expected[0])
+    record = case.gradient()
+    np.testing.assert_array_equal(record.value, expected[0])
+    np.testing.assert_array_equal(
+        ncbayes.graph.pack_coords(model, record.grads), expected[1])
