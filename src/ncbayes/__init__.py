@@ -35,7 +35,6 @@ from .graph import (
     grad_log_joint_latents,
     grad_log_joint_params,
     log_joint,
-    observed_log_likelihood,
     random_params,
 )
 from .hmc import ChainResult, HmcConfig, leapfrog, run_chain, run_chains

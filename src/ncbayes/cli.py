@@ -99,7 +99,9 @@ def _analyze(args, raw):
             "alpha": cfg.alpha, "beta": cfg.beta, "w": cfg.w,
             "sigma": cfg.sigma, "rho_sq_cp": r_cp, "rho_sq_dncp": r_dncp,
             "prefer_dncp": better}
-    return _write_outputs(cfg.out_dir, header, rows, summary,
+    # the cells of a column differ in type between rows: one block per row
+    blocks = [tuple(np.array([v]) for v in row) for row in rows]
+    return _write_outputs(cfg.out_dir, header, blocks, summary,
                           _manifest("analyze", cfg))
 
 
@@ -125,7 +127,7 @@ def _sample(args, raw):
         dim = int(model.nodes[node_id].dim)
         labels.extend(f"{node_id}_{k}" for k in range(dim))
     header = ("draw", *labels)
-    rows = [(idx, *result.draws[idx]) for idx in range(len(result.draws))]
+    blocks = [(np.arange(len(result.draws)), *result.draws.T)]
     kept = result.accept_trace[sampler.burn_in:]
     summary = {
         "model": cfg.model,
@@ -141,16 +143,16 @@ def _sample(args, raw):
         report = ess_report(result.draws)
         summary["min_ess"] = report.min_ess
         summary["median_ess"] = report.median_ess
-    return _write_outputs(cfg.out_dir, header, rows, summary,
+    return _write_outputs(cfg.out_dir, header, blocks, summary,
                           _manifest("sample", cfg))
 
 
 def _learn(args, raw):
     cfg = config_mod.experiment_config(raw, experiment="mmcl-vs-mcem",
                                        seed=args.seed, out_dir=args.out)
-    header, rows, summary = learning_comparison(cfg)
+    header, blocks, summary = learning_comparison(cfg)
     summary = {"command": "learn", "seed": cfg.seed, **summary}
-    return _write_outputs(cfg.out_dir, header, rows, summary,
+    return _write_outputs(cfg.out_dir, header, blocks, summary,
                           _manifest("learn", cfg))
 
 

@@ -16,7 +16,7 @@ import yaml
 
 from .errors import ConfigurationError
 from .experiments import ExperimentConfig, LearningSpec
-from .hmc import HmcConfig
+from .hmc import HmcConfig, _check_mix_rho
 
 _TUPLE_KEYS = ("sigma_z_grid", "log_sigma_z_grid", "replicate_seeds",
                "gen_dims")
@@ -71,6 +71,7 @@ class SampleConfig:
         if self.parameterization not in ("cp", "dncp", "mix"):
             raise ConfigurationError(
                 "parameterization must be cp, dncp, or mix")
+        _check_mix_rho(self.mix_rho)
 
 
 def load_config(path):
@@ -104,11 +105,6 @@ def _build(cls, given, defaults, label):
         if key in merged and isinstance(merged[key], list):
             merged[key] = tuple(merged[key])
     return cls(**merged)
-
-
-def _nested(cls, raw, name, default_instance):
-    given = raw.get(name, {})
-    return _build(cls, given, dataclasses.asdict(default_instance), name)
 
 
 def _split_sections(raw):

@@ -3,7 +3,10 @@
 Each experiment writes three files into the output directory: results.csv
 (RFC-4180, header row, floats at 17 significant digits), summary.json, and
 manifest.json carrying the full config, the seed, and a git-style content
-hash of the config.  Reruns with the same config are byte-identical: every
+hash of the config.  Drivers compute their tables first, as blocks of
+columns (1-D arrays, one per field); the writer formats a whole column per
+pass, one block at a time, and raises ``ValueError`` for a field that would
+need CSV quoting.  Reruns with the same config are byte-identical: every
 random stream derives from ``seed`` through fixed offsets (+7 model
 parameters, +12 dataset) or the explicit replicate seed list, and nothing
 time-dependent is written.
@@ -12,15 +15,16 @@ Replicate chains fan out as batch rows inside the sampler rather than as
 worker processes; emission happens in one place either way.
 
 On failure nothing is left behind: outputs are staged under temporary
-names and renamed only after all three are complete.
+names, each registered before it is opened, and renamed only after all
+three are complete.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -115,16 +119,7 @@ class ExperimentConfig:
             raise ConfigurationError("counts must be positive")
         if self.grid_resolution < 2:
             raise ConfigurationError("grid_resolution must be at least 2")
-
-
-def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+        hmc._check_mix_rho(self.mix_rho)
 
 
 def _config_dict(config):
@@ -139,65 +134,88 @@ def _content_hash(config_dict):
     return hashlib.sha1(b"blob %d\0" % len(payload) + payload).hexdigest()
 
 
-def _write_outputs(out_dir, header, rows, summary, manifest):
+def _write_outputs(out_dir, header, blocks, summary, manifest):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    names = ("results.csv", "summary.json", "manifest.json")
     staged = []
     try:
-        for name, writer in (
-            ("results.csv",
-             lambda fh: _write_csv(fh, header, rows)),
-            ("summary.json",
-             lambda fh: fh.write(json.dumps(summary, indent=2,
-                                            sort_keys=True) + "\n")),
-            ("manifest.json",
-             lambda fh: fh.write(json.dumps(manifest, indent=2,
-                                            sort_keys=True) + "\n")),
-        ):
+        for name, document in zip(names, (None, summary, manifest)):
             tmp = out / (name + ".tmp")
-            with open(tmp, "w", newline="") as fh:
-                writer(fh)
             staged.append((tmp, out / name))
+            with open(tmp, "w", newline="") as fh:
+                if document is None:
+                    _write_csv(fh, header, blocks)
+                else:
+                    fh.write(json.dumps(document, indent=2, sort_keys=True)
+                             + "\n")
         for tmp, final in staged:
             tmp.replace(final)
     except BaseException:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
         raise
-    return {name: str(out / name)
-            for name in ("results.csv", "summary.json", "manifest.json")}
+    return {name: str(out / name) for name in names}
 
 
-def _write_csv(fh, header, rows):
-    writer = csv.writer(fh, lineterminator="\r\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+def _format_column(column, lone):
+    values = column.tolist()
+    kind = column.dtype.kind
+    if kind == "f":
+        return map(format, values, repeat(".17g"))
+    if kind in "iu":
+        return map(str, values)
+    if kind == "b":
+        return ("1" if v else "0" for v in values)
+    if kind != "U":
+        raise TypeError(f"cannot write a column of dtype {column.dtype}")
+    # fields the csv module would quote: any holding a delimiter, a quote
+    # or a line break, and an empty field that is its row's only field
+    text = "".join(values)
+    if any(c in text for c in ',"\r\n') or (lone and "" in values):
+        raise ValueError("a CSV field would need quoting: it holds a comma, "
+                         "a quote or a line break, or is a lone empty field")
+    return values
+
+
+def _write_csv(fh, header, blocks):
+    lone = len(header) == 1
+    fh.write(",".join(_format_column(np.array(header), lone)) + "\r\n")
+    for block in blocks:
+        columns = [np.asarray(c) for c in block]
+        if len(columns) != len(header) or any(
+                c.shape != columns[0].shape or c.ndim != 1 for c in columns):
+            raise ValueError(f"a block needs {len(header)} 1-D columns of "
+                             f"one length")
+        if columns[0].size:
+            fh.write("\r\n".join(map(",".join, zip(
+                *(_format_column(c, lone) for c in columns)))) + "\r\n")
 
 
 def _correlation_scan(config):
     rng = np.random.default_rng(config.seed)
     header = ("alpha", "beta", "w", "sigma", "rho2_cp", "rho2_dncp",
               "prefer_dncp")
-    rows = []
-    count_dncp = 0
-    for _ in range(config.n_points):
+    n = config.n_points
+    columns = [np.empty(n) for _ in header[:-1]] + [np.empty(n, dtype=bool)]
+    for k in range(n):
+        # the byte contract: each point draws alpha, beta, w, sigma in turn
         alpha = -(10.0 ** rng.uniform(-2.0, 2.0))
         beta = -(10.0 ** rng.uniform(-2.0, 2.0))
         w = rng.standard_normal()
         sigma = 10.0 ** rng.uniform(-2.0, 2.0)
         s = LocalFactorSummary(alpha=alpha, beta=beta, w=w, sigma=sigma)
-        r_cp = cp_squared_correlation(s)
-        r_dncp = dncp_squared_correlation(s)
-        better = prefer_dncp(sigma, beta)
-        count_dncp += bool(better)
-        rows.append((alpha, beta, w, sigma, r_cp, r_dncp, better))
+        for column, value in zip(columns, (
+                alpha, beta, w, sigma, cp_squared_correlation(s),
+                dncp_squared_correlation(s), prefer_dncp(sigma, beta))):
+            column[k] = value
+    count_dncp = int(columns[-1].sum())
     summary = {
-        "n_points": config.n_points,
+        "n_points": n,
         "prefer_dncp_count": count_dncp,
-        "prefer_cp_count": config.n_points - count_dncp,
+        "prefer_cp_count": n - count_dncp,
     }
-    return header, rows, summary
+    return header, [tuple(columns)], summary
 
 
 def _lds_posterior_mean_cov(sigma_x, sigma_z, x1, x2, report, system):
@@ -215,9 +233,11 @@ def _lds_posterior_mean_cov(sigma_x, sigma_z, x1, x2, report, system):
 def _lds_grids(config):
     header = ("sigma_z", "system", "i", "j", "coord_1", "coord_2",
               "log_density", "rho_sq")
-    rows = []
+    blocks = []
     summary = {"sigma_x": config.sigma_x, "cells": []}
     res = config.grid_resolution
+    n = res * res
+    i, j = np.divmod(np.arange(n), res)
     for sigma_z in config.sigma_z_grid:
         model = build_lds_model(config.sigma_x, sigma_z)
         draw = graph.ancestral_sample(model, np.zeros(0),
@@ -245,16 +265,14 @@ def _lds_grids(config):
             logp, _ = posterior.value_and_grad(points)
             rho = (report.rho_sq_cp if system == "cp"
                    else report.rho_sq_dncp)
-            for idx in range(points.shape[0]):
-                i, j = divmod(idx, res)
-                rows.append((sigma_z, system, i, j, points[idx, 0],
-                             points[idx, 1], logp[idx], rho))
-    return header, rows, summary
+            blocks.append((np.full(n, sigma_z), np.full(n, system), i, j,
+                           points[:, 0], points[:, 1], logp,
+                           np.full(n, rho)))
+    return header, blocks, summary
 
 
 def _dbn_ess(config):
     header = ("log_sigma_z", "ess_cp", "ess_dncp", "ess_mix")
-    rows = []
     cells = []
     for log_sigma_z in config.log_sigma_z_grid:
         sigma_z = 10.0 ** log_sigma_z
@@ -275,15 +293,13 @@ def _dbn_ess(config):
             cell[f"ess_{par}"] = float(np.median(
                 [ess_report(r.draws).min_ess for r in results]))
         cells.append(cell)
-        rows.append((log_sigma_z, cell["ess_cp"], cell["ess_dncp"],
-                     cell["ess_mix"]))
-    grid = [c["log_sigma_z"] for c in cells]
-    cp = [c["ess_cp"] for c in cells]
+    columns = tuple(np.array([c[k] for c in cells]) for k in header)
+    grid, cp = columns[:2]
     spearman = float(stats.spearmanr(grid, cp).statistic) if len(grid) > 1 \
         else 1.0
     summary = {"cells": cells, "spearman_cp_vs_grid": spearman,
                "replicate_seeds": list(config.replicate_seeds)}
-    return header, rows, summary
+    return header, [columns], summary
 
 
 def two_layer_model(gen_dims, obs_dim, sigma=1.0):
@@ -300,19 +316,12 @@ def two_layer_model(gen_dims, obs_dim, sigma=1.0):
     ]})
 
 
-def _split(values, holdout):
-    return values[:-holdout], values[-holdout:]
-
-
-def _mmcl_vs_mcem(config):
-    return learning_comparison(config)
-
-
 def learning_comparison(config):
     """Train the estimators named by config.learning.method on one dataset.
 
-    Returns (header, rows, summary) in the experiment driver convention;
-    the trace rows carry per-evaluation train and test log-likelihoods.
+    Returns (header, blocks, summary) in the experiment driver convention;
+    one block per method carries its per-evaluation train and test
+    log-likelihoods.
     """
     spec = config.learning
     if config.idx_path is not None:
@@ -331,7 +340,7 @@ def learning_comparison(config):
                                    np.random.default_rng(config.seed + 12))
         x = handle.data["x"]
     model = two_layer_model(config.gen_dims, x.shape[1])
-    x_train, x_test = _split(x, config.holdout)
+    x_train, x_test = x[:-config.holdout], x[-config.holdout:]
     train_data, test_data = {"x": x_train}, {"x": x_test}
 
     schedules = {
@@ -352,7 +361,7 @@ def learning_comparison(config):
             eval_seed=spec.eval_seed),
     }
     header = ("method", "iteration", "train_log_lik", "test_log_lik")
-    rows = []
+    blocks = []
     summary = {"n_train": int(x_train.shape[0]),
                "n_test": int(x_test.shape[0])}
     if theta_true is not None:
@@ -364,22 +373,22 @@ def learning_comparison(config):
     for method in spec.methods():
         trace = learning.train(method, model, train_data, test_data,
                                schedules[method])
-        for row in trace:
-            rows.append((method, row.iteration, row.train_log_lik,
-                         row.test_log_lik))
+        blocks.append((np.full(len(trace), method),
+                       *(np.array([getattr(row, k) for row in trace])
+                         for k in header[1:])))
         summary[f"{method}_final_train_log_lik"] = trace[-1].train_log_lik
         summary[f"{method}_final_test_log_lik"] = trace[-1].test_log_lik
         if theta_true is not None:
             summary[f"{method}_train_gap"] = (
                 summary["truth_train_log_lik"] - trace[-1].train_log_lik)
-    return header, rows, summary
+    return header, blocks, summary
 
 
 _DRIVERS = {
     "correlation-scan": _correlation_scan,
     "lds": _lds_grids,
     "dbn-ess": _dbn_ess,
-    "mmcl-vs-mcem": _mmcl_vs_mcem,
+    "mmcl-vs-mcem": learning_comparison,
 }
 
 
@@ -390,7 +399,7 @@ def run_experiment(config):
     from config.seed, so a rerun with the manifest's config reproduces the
     files byte for byte.
     """
-    header, rows, summary = _DRIVERS[config.experiment](config)
+    header, blocks, summary = _DRIVERS[config.experiment](config)
     summary = {"experiment": config.experiment, "seed": config.seed,
                **summary}
     config_dict = _config_dict(config)
@@ -401,4 +410,4 @@ def run_experiment(config):
         "content_hash": _content_hash(config_dict),
         "outputs": ["results.csv", "summary.json"],
     }
-    return _write_outputs(config.out_dir, header, rows, summary, manifest)
+    return _write_outputs(config.out_dir, header, blocks, summary, manifest)

@@ -664,17 +664,6 @@ def log_joint(model, theta, assignment):
     return value
 
 
-def observed_log_likelihood(model, theta, assignment):
-    """Sum of the observed nodes' factor terms only (no latent priors)."""
-    theta = _check_theta(model, theta)
-    compiled = _compile(model, observed_only=True)
-    bindings = _bindings(model, compiled, theta, assignment)
-    value = ad.evaluate(compiled.root, bindings)
-    if np.any(np.isnan(value)):
-        raise NonFinite("observed log-likelihood evaluated to NaN")
-    return value
-
-
 def grad_log_joint_latents(model, theta, assignment):
     """Log-joint and its gradient with respect to the free coordinates.
 

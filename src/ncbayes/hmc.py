@@ -25,6 +25,7 @@ which keeps every row in the same coordinate system without affecting any
 single row's transition law.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,6 +179,13 @@ def leapfrog(q, p, step_size, n_steps, grad_fn):
     return q, p
 
 
+def _check_mix_rho(mix_rho):
+    """Reject a mixture weight on "cp" outside [0, 1], NaN included."""
+    if not (isinstance(mix_rho, numbers.Real) and 0.0 <= mix_rho <= 1.0):
+        raise ConfigurationError(
+            f"mix_rho must be a finite number in [0, 1], got {mix_rho!r}")
+
+
 def run_chains(model, theta, data, config, parameterization="cp", plan=None,
                mix_rho=0.5, seeds=None):
     """Run replicate chains as rows of one batched state.
@@ -196,6 +204,7 @@ def run_chains(model, theta, data, config, parameterization="cp", plan=None,
             f"parameterization must be 'cp', 'dncp', or 'mix', got "
             f"{parameterization!r}"
         )
+    _check_mix_rho(mix_rho)
     if seeds is None:
         seeds = (config.seed,)
     gens = [np.random.default_rng(s) for s in seeds]
@@ -237,16 +246,12 @@ def run_chains(model, theta, data, config, parameterization="cp", plan=None,
     }
 
     for it in range(total):
-        if par == "mix":
-            if mix_rho >= 1.0:
-                use_cp = True
-            elif mix_rho <= 0.0:
-                use_cp = False
-            else:
-                use_cp = gens[0].random() < mix_rho
-            name = "cp" if use_cp else "dncp"
-        else:
+        if par != "mix":
             name = par
+        elif 0.0 < mix_rho < 1.0:
+            name = "cp" if gens[0].random() < mix_rho else "dncp"
+        else:  # rho 0 or 1 draws no coin: the pure chain, bit for bit
+            name = "cp" if mix_rho else "dncp"
         want = _SYSTEM_OF[name]
         if want != system:
             if want == "eps":

@@ -108,6 +108,10 @@ class TestAnalyzeAndSample:
             sample_config({"model": "hmm"})
         with pytest.raises(ConfigurationError):
             sample_config({"parameterization": "vi"})
+        for rho in (7.0, -0.5, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                sample_config({"parameterization": "mix", "mix_rho": rho})
+        assert sample_config({"mix_rho": 1}).mix_rho == 1
 
     def test_sample_sampler_section(self):
         cfg = sample_config({"model": "dbn",

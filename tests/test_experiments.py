@@ -44,6 +44,11 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig("lds", grid_resolution=1)
 
+    @pytest.mark.parametrize("rho", [float("nan"), 1.5, -0.1])
+    def test_bad_mix_rho(self, rho):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig("dbn-ess", mix_rho=rho)
+
     def test_bad_learning_method(self):
         with pytest.raises(ConfigurationError):
             LearningSpec(method="sgd")

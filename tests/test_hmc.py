@@ -383,6 +383,16 @@ class TestMixture:
             assert np.array_equal(pure.accept_trace, mix.accept_trace)
             assert np.all(mix.system_trace == par)
 
+    @pytest.mark.parametrize("rho", [np.nan, 1.5, -0.1, np.inf, "0.5",
+                                     None])
+    def test_mix_rho_outside_unit_interval_rejected(self, rho):
+        model, theta, data, _, _ = lds_problem()
+        cfg = HmcConfig(step_size=0.3, burn_in=5, samples=5)
+        for par in ("mix", "cp"):
+            with pytest.raises(ConfigurationError):
+                run_chains(model, theta, data, cfg, parameterization=par,
+                           mix_rho=rho)
+
     def test_stored_draws_survive_coordinate_round_trip(self):
         # every stored draw is in z-coordinates; mapping it to the noise
         # coordinates and back must be the identity to 1e-10
