@@ -10,9 +10,20 @@ out in the code, and a node's first adjoint contribution is a plain
 assignment.  A gradient program runs the forward code, then the seed, then
 the backward code along the paths that reach the requested inputs; a
 forward-only program has no backward code.  Programs are cached on the
-root per input shapes and ``wrt``.  There is no second-order support on
-purpose -- curvature is obtained elsewhere by finite differences of the
-gradient.
+root per input shapes, ``wrt`` and packed layout.  There is no
+second-order support on purpose -- curvature is obtained elsewhere by
+finite differences of the gradient.
+
+Packed inputs
+-------------
+A group of inputs can arrive as column slices of one array (a *layout*
+of ``(name, width)`` pairs, see :func:`evaluate_with_gradient`).  The
+program reads each as a view of that array, a ``stack`` of such inputs
+of one width as one reshaped view when they lie end to end (else as one
+gather), and writes their adjoints into one flat gradient: a stacked
+adjoint enters with one slice (or index) write.  Every coordinate keeps
+its contributions in the unpacked program's order, so both programs give
+the same bits.
 
 Shape conventions
 -----------------
@@ -32,6 +43,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,15 +223,17 @@ def _topological_order(root: Expr):
 
 
 class _Programs:
-    """Per-root cache: topological order, input names and the generated
-    functions, keyed by (input shapes, ``wrt``, gradient or forward-only)."""
+    """Per-root cache: topological order, input names, the names bound
+    apart from each packed layout, and the generated functions, keyed by
+    (input shapes, ``wrt``, gradient or forward-only, layout)."""
 
-    __slots__ = ("order", "names", "functions")
+    __slots__ = ("order", "names", "unpacked", "functions")
 
     def __init__(self, root):
         self.order = _topological_order(root)
         self.names = tuple(dict.fromkeys(
             node.name for node in self.order if node.op == "input"))
+        self.unpacked = {None: self.names}
         self.functions = {}
 
 
@@ -247,21 +261,66 @@ class _Writer:
     ``i`` is ``g{i}``; ``live[i]`` says whether node ``i`` reaches a
     differentiated input and ``started[i]`` whether its adjoint has been
     assigned yet.
+
+    With a packed ``layout``, ``packed[name]`` is an input's (offset,
+    width) in the argument ``flat``.  ``stacked[i]`` holds the column
+    offsets of a stack read from ``flat`` at once, ``read`` the nodes that
+    read a packed input as a view of its own, and ``contributions`` the
+    adjoint terms :meth:`resolve` writes into the flat gradient ``grad``.
     """
 
-    def __init__(self, order, names, shapes):
+    def __init__(self, order, names, shapes, layout=None):
         self.order = order
         self.index = {id(node): i for i, node in enumerate(order)}
         self.kids = [[self.index[id(c)] for c in node.children]
                      for node in order]
         self.arg = {name: f"a{k}" for k, name in enumerate(names)}
-        self.bound = dict(zip(names, shapes))
+        self.packed, self.flat = {}, None
+        if layout is not None:
+            *shapes, flat = shapes
+            lo = 0
+            for name, width in layout:
+                if name in self.packed:
+                    raise ValueError(f"layout names '{name}' twice")
+                self.packed[name] = (lo, width)
+                lo += width
+            if not flat or flat[-1] != lo:
+                raise ValueError(f"packed values of shape {flat} do not hold "
+                                 f"the layout's {lo} coordinates")
+            self.flat = flat
+        self.bound = dict(zip([n for n in names if n not in self.packed],
+                              shapes))
+        for name, (lo, width) in self.packed.items():
+            self.bound[name] = flat[:-1] + (width,)
+        self.uses = Counter(node.name for node in order if node.op == "input")
+        self.stacked = {i: self._stacked(node) for i, node in enumerate(order)
+                        if node.op == "stack"}
+        self.read, self.views = {len(order) - 1}, set()
+        for i, kids in enumerate(self.kids):
+            if self.stacked.get(i) is None:
+                self.read.update(kids)
+        self.contributions = []
         self.namespace = {"np": np, "expit": expit, "_seed": _seed,
                           "SIGMA_FLOOR": SIGMA_FLOOR,
                           "HALF_LOG_2PI": _HALF_LOG_2PI}
         self.lines = []
         self.var, self.shape = [], []
         self.live = self.started = None
+
+    def _direct(self, node):
+        """A packed input read through one node: its adjoint contributions
+        go straight into the flat gradient."""
+        return (node.op == "input" and node.name in self.packed
+                and self.uses[node.name] == 1)
+
+    def _stacked(self, node):
+        """Column offsets of a stack of direct packed inputs of one width,
+        else None."""
+        if not all(self._direct(c) for c in node.children):
+            return None
+        if len({self.packed[c.name][1] for c in node.children}) > 1:
+            return None
+        return [self.packed[c.name][0] for c in node.children]
 
     def emit(self, line):
         self.lines.append("    " + line)
@@ -292,6 +351,11 @@ class _Writer:
                 v, shape = self.const(i, node.value), node.value.shape
             elif op == "input":
                 v, shape = self.arg[node.name], self.bound[node.name]
+                if (node.name in self.packed and i in self.read
+                        and v not in self.views):
+                    lo, width = self.packed[node.name]
+                    self.emit(f"{v} = flat[..., {lo}:{lo + width}]")
+                    self.views.add(v)
             elif op == "add":
                 self.emit_sum(v, var)
                 shape = np.broadcast_shapes(*shp)
@@ -328,9 +392,18 @@ class _Writer:
                 if not full:
                     raise ValueError("stack() needs operands with a trailing axis")
                 shape = full[:-1] + (len(var),) + full[-1:]
-                self.emit(f"{v} = np.empty({shape})")
-                for k, x in enumerate(var):
-                    self.emit(f"{v}[..., {k}, :] = {x}")
+                cols = self.stacked[i]
+                if cols is None:
+                    self.emit(f"{v} = np.empty({shape})")
+                    for k, x in enumerate(var):
+                        self.emit(f"{v}[..., {k}, :] = {x}")
+                elif _run(cols, full[-1]):
+                    self.emit(f"{v} = flat[..., {cols[0]}:"
+                              f"{cols[0] + len(cols) * full[-1]}]"
+                              f".reshape({shape})")
+                else:
+                    index = np.add.outer(cols, np.arange(full[-1]))
+                    self.emit(f"{v} = flat[..., {self.const(i, index, 'ix')}]")
             elif op == "outputs":
                 self.emit(f"{v} = ({''.join(x + ', ' for x in var)})")
                 shape = None
@@ -379,10 +452,13 @@ class _Writer:
         self.live = []
         for i, node in enumerate(order):
             if node.op == "input":
-                self.live.append(wrt is None or node.name in wrt)
+                self.live.append(wrt is None or node.name in wrt
+                                 or node.name in self.packed)
             else:
                 self.live.append(any(self.live[j] for j in self.kids[i]))
         self.started = [False] * len(order)
+        if self.flat is not None:
+            self.emit(f"grad = np.empty({self.flat})")
         r = self.index[id(root)]
         self.emit(f"g{r} = _seed(seed, {self.var[r]}, {self.shape[r]})")
         self.started[r] = True
@@ -395,7 +471,9 @@ class _Writer:
         """Add ``expr`` to the adjoint of node ``j`` if it needs one."""
         if not self.live[j]:
             return
-        if self.started[j]:
+        if self._direct(self.order[j]):
+            self.contribute([self.order[j].name], expr, False)
+        elif self.started[j]:
             self.emit(f"g{j} = g{j} + ({expr})")
         else:
             self.emit(f"g{j} = {expr}")
@@ -469,6 +547,9 @@ class _Writer:
             self.add_to(ci[0], f"{g}[..., None].repeat({sx[-1]}, axis=-1)"
                         if sx else g)
         elif op == "stack":
+            if self.stacked[i] is not None:
+                self.contribute([c.name for c in node.children], g, True)
+                return
             full = np.broadcast_shapes(*shp)
             for k, (j, s) in enumerate(zip(ci, shp)):
                 self.add_to(j, self.fold(f"{g}[..., {k}, :]", full, s))
@@ -494,10 +575,12 @@ class _Writer:
             full, shp[2]))
 
     def grads(self):
-        """Dict display of each differentiated input's summed adjoint."""
+        """Dict display of each differentiated unpacked input's summed
+        adjoint; a packed input read through several nodes contributes the
+        sum to the flat gradient."""
         parts = {}
         for i, node in enumerate(self.order):
-            if node.op == "input" and self.live[i]:
+            if node.op == "input" and self.live[i] and not self._direct(node):
                 parts.setdefault(node.name, []).append(i)
         items = []
         for name, nodes in parts.items():
@@ -508,8 +591,118 @@ class _Writer:
                 self.emit_sum(f"g{nodes[0]}",
                               [total] + [f"g{j}" for j in nodes[1:]])
                 total = f"g{nodes[0]}"
-            items.append(f"{name!r}: {total}")
+            if name in self.packed:
+                self.contribute([name], total, False)
+            else:
+                items.append(f"{name!r}: {total}")
         return "{" + ", ".join(items) + "}"
+
+    # -- the flat gradient of packed inputs ----------------------------------------
+
+    def contribute(self, names, expr, stacked):
+        """Mark where ``expr`` adds to the adjoints of packed inputs
+        ``names``: one input, or the operands of a packed stack (``expr``
+        is then ``(..., k, width)``).  :meth:`resolve` writes the code."""
+        self.lines.append(len(self.contributions))
+        self.contributions.append((names, expr, stacked))
+
+    def resolve(self):
+        """Replace the marks by writes into the flat gradient ``grad``.
+
+        Each coordinate takes its contributions in the order the per-node
+        program adds them: the first assigns, later ones add in place.  The
+        first two may swap, as ``a + b == b + a`` exactly: a contribution
+        that is second for some inputs and first for the rest assigns all
+        of them when every first contribution it follows covers only inputs
+        it comes second to; those follow it as adds.  Inputs the root does
+        not reach get zeros.
+        """
+        contributions = self.contributions
+        events = {}
+        for c, (names, _, _) in enumerate(contributions):
+            for k, name in enumerate(names):
+                events.setdefault(name, []).append((c, k))
+        leader = {name: seq[0] for name, seq in events.items()}
+        behind = {}
+        for e, (names, _, _) in enumerate(contributions):
+            for f in self._swappable(e, names, events):
+                behind.setdefault(e, []).append(f)
+                for name in contributions[f][0]:
+                    leader[name] = (e, names.index(name))
+        deferred = {f for fs in behind.values() for f in fs}
+        lines = []
+        for line in self.lines:
+            if not isinstance(line, int):
+                lines.append(line)
+            elif line in deferred:
+                lines.append(f"    k{line} = {contributions[line][1]}")
+            else:
+                lines += self._writes(line, contributions[line][1], leader)
+                for f in behind.get(line, ()):
+                    lines += self._writes(f, f"k{f}", leader)
+        lines += [f"    grad[..., {lo}:{lo + width}] = 0.0"
+                  for name, (lo, width) in self.packed.items()
+                  if name not in events]
+        self.lines = lines
+
+    def _swappable(self, e, names, events):
+        """The first contributions that contribution ``e`` may lead."""
+        contributions = self.contributions
+        if len(set(names)) < len(names):
+            return ()
+        firsts = set()
+        for name in names:
+            seq = events[name]
+            if seq[0][0] != e:
+                if len(seq) < 2 or seq[1][0] != e:
+                    return ()
+                firsts.add(seq[0][0])
+        for f in firsts:
+            fnames = contributions[f][0]
+            if len(set(fnames)) < len(fnames) or any(
+                    len(events[m]) < 2 or events[m][0][0] != f
+                    or events[m][1][0] != e for m in fnames):
+                return ()
+        return sorted(firsts)
+
+    def _writes(self, c, source, leader):
+        """Lines writing contribution ``c`` (held in ``source``): one per
+        run of operands that all assign or all add, with no input twice."""
+        names, _, stacked = self.contributions[c]
+        out, k = [], 0
+        while k < len(names):
+            assign = leader[names[k]] == (c, k)
+            b = k + 1
+            while (b < len(names) and (leader[names[b]] == (c, b)) == assign
+                   and names[b] not in names[k:b]):
+                b += 1
+            out.append(self._write(c, names, k, b, source, stacked,
+                                   "=" if assign else "+="))
+            k = b
+        return out
+
+    def _write(self, c, names, a, b, source, stacked, op):
+        """``grad[..., columns] op source`` for operands ``a:b``."""
+        width = self.packed[names[a]][1]
+        cols = [self.packed[n][0] for n in names[a:b]]
+        shape = self.flat[:-1] + ((b - a) * width,)
+        if stacked and b - a == 1:
+            source = f"{source}[..., {a}, :]"
+        elif stacked and b - a == len(names):
+            source = f"{source}.reshape({shape})"
+        elif stacked:
+            source = f"{source}[..., {a}:{b}, :].reshape({shape})"
+        if _run(cols, width):
+            target = f"{cols[0]}:{cols[0] + len(cols) * width}"
+        else:
+            target = self.const(f"{c}_{a}", np.add.outer(
+                cols, np.arange(width)).reshape(-1), "cx")
+        return f"    grad[..., {target}] {op} {source}"
+
+
+def _run(cols, width):
+    """Whether blocks of ``width`` at offsets ``cols`` lie end to end."""
+    return all(b == a + width for a, b in zip(cols, cols[1:]))
 
 
 _ELEMENTWISE = {
@@ -532,7 +725,7 @@ _ELEMENTWISE_ADJOINT = {
 }
 
 # the writer's temporaries: values, adjoints and per-node intermediates
-_TEMPORARY = re.compile(r"\b[vtdrsqepg]\d+\b")
+_TEMPORARY = re.compile(r"\b[vtdrsqepgk]\d+\b")
 
 
 def _free_dead(lines):
@@ -549,18 +742,24 @@ def _free_dead(lines):
     return out + lines[-1:]
 
 
-def _generate(programs, root, shapes, wrt, gradient):
-    """Source, compiled, of one program for ``root`` at input ``shapes``."""
-    writer = _Writer(programs.order, programs.names, shapes)
+def _generate(programs, root, shapes, wrt, gradient, layout):
+    """Source, compiled, of one program for ``root`` at input ``shapes``
+    (the packed values' shape last when there is a ``layout``)."""
+    writer = _Writer(programs.order, programs.names, shapes, layout)
     writer.forward()
     r = writer.index[id(root)]
     value = writer.var[r]
     if writer.shape[r] == ():
         value = f"float({value})"
-    args = list(writer.arg.values())
+    args = [writer.arg[name] for name in programs.unpacked[layout]]
+    if layout is not None:
+        args.append("flat")
     if gradient:
         writer.backward(root, wrt)
         value = f"{value}, {writer.grads()}"
+        if layout is not None:
+            writer.resolve()
+            value += ", grad"
         args.append("seed")
     lines = _free_dead(writer.lines + [f"    return {value}"])
     source = "\n".join([f"def program({', '.join(args)}):", *lines, ""])
@@ -569,32 +768,42 @@ def _generate(programs, root, shapes, wrt, gradient):
     return namespace["program"]
 
 
-def _prepare(root, bindings, wrt, gradient):
+def _prepare(root, bindings, wrt, gradient, packed=None):
     """The program for these bindings' shapes, and its arguments."""
     programs = root._programs
     if programs is None:
         programs = root._programs = _Programs(root)
+    layout = None if packed is None else packed[0]
+    names = programs.unpacked.get(layout)
+    if names is None:
+        skip = {name for name, _ in layout}
+        names = programs.unpacked[layout] = tuple(
+            name for name in programs.names if name not in skip)
     try:
         args = [np.asarray(bindings[name], dtype=np.float64)
-                for name in programs.names]
+                for name in names]
     except KeyError:
-        missing = next(n for n in programs.names if n not in bindings)
+        missing = next(n for n in names if n not in bindings)
         raise UnboundInput(f"no value bound for input '{missing}'") from None
+    if packed is not None:
+        args.append(np.asarray(packed[1], dtype=np.float64))
     shapes = tuple([a.shape for a in args])
-    key = (shapes, wrt, gradient)
+    key = (shapes, wrt, gradient, layout)
     function = programs.functions.get(key)
     if function is None:
         function = programs.functions[key] = _generate(
-            programs, root, shapes, wrt, gradient)
+            programs, root, shapes, wrt, gradient, layout)
     return function, args
 
 
 @dataclass
 class GradientRecord:
-    """Value of an expression and adjoints of every bound input leaf."""
+    """Value of an expression, adjoints of the bound input leaves and, for
+    packed inputs, the adjoint of the packed values."""
 
     value: object
     grads: dict
+    packed: object = None
 
 
 def evaluate(root: Expr, bindings: dict):
@@ -605,7 +814,7 @@ def evaluate(root: Expr, bindings: dict):
 
 
 def evaluate_with_gradient(root: Expr, bindings: dict, seed_adjoint=None,
-                           wrt=None) -> GradientRecord:
+                           wrt=None, packed=None) -> GradientRecord:
     """Forward and reverse pass.
 
     Parameters
@@ -624,19 +833,26 @@ def evaluate_with_gradient(root: Expr, bindings: dict, seed_adjoint=None,
         Input names to differentiate with respect to.  When given, the
         reverse pass skips every path that only reaches other inputs and
         ``grads`` contains exactly these names.  ``None`` keeps all inputs.
+    packed : (layout, values), optional
+        Inputs bound as slices of one array: ``layout`` is a tuple of
+        ``(name, width)`` pairs and ``values`` has shape ``(..., total
+        width)``, each name taking the next ``width`` columns.  These names
+        are not looked up in ``bindings`` and are always differentiated.
 
     Returns
     -------
     GradientRecord
         ``value`` is the root value; ``grads`` maps each input name to the
         adjoint array, shaped like the bound value.  Inputs sharing a name
-        have their adjoints summed.
+        have their adjoints summed.  With ``packed``, ``packed`` is the
+        adjoint of ``values`` in one array of its shape, zero for names
+        the root does not reach; every entry has the bits of the unpacked
+        program's adjoint.
     """
     if root.op == "outputs":
         raise ValueError("a multi-output expression has no gradient")
-    function, args = _prepare(root, bindings, wrt, True)
-    value, grads = function(*args, seed_adjoint)
-    return GradientRecord(value=value, grads=grads)
+    function, args = _prepare(root, bindings, wrt, True, packed)
+    return GradientRecord(*function(*args, seed_adjoint))
 
 
 def finite_difference_check(root: Expr, bindings: dict, step: float = 1e-5) -> float:

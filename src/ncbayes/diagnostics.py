@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .errors import ConstantSeries, ShapeError
+from .errors import ConstantSeries, NonFinite, ShapeError
 
 
 def autocorrelation(series, max_lag) -> np.ndarray:
@@ -22,14 +22,18 @@ def autocorrelation(series, max_lag) -> np.ndarray:
 
     The biased estimator (lag-0 denominator throughout) trades a little
     bias for guaranteed positive-definiteness, which the pairwise
-    truncation rule relies on.
+    truncation rule relies on.  A series holding NaN or an infinity (or
+    spanning more than the float range) raises :class:`NonFinite`.
     """
     x = np.asarray(series, dtype=np.float64).ravel()
     n = x.size
     max_lag = int(max_lag)
     if max_lag < 0 or max_lag >= n:
         raise ShapeError(f"max_lag {max_lag} outside [0, {n - 1}]")
-    if np.ptp(x) == 0.0:
+    spread = np.ptp(x)
+    if not np.isfinite(spread):
+        raise NonFinite("series holds a non-finite value or its range overflows")
+    if spread == 0.0:
         raise ConstantSeries("series has zero variance")
     x = x - x.mean()
     size = next_fast_len(2 * n)

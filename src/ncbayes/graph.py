@@ -728,21 +728,19 @@ class LatentPosterior:
     """Log density of the free coordinates given data, with gradient.
 
     The one evaluator behind the samplers, the Monte Carlo EM E-step and
-    :func:`grad_log_joint_latents`.  Bindings for the compiled joint are
-    prepared once; each call only writes the free-coordinate slices before
-    running the tape.  Accepts a single ``(dim,)`` point or a
-    ``(rows, dim)`` batch.  Out-of-support and numerically exploded rows
-    come back as ``-inf`` with zero gradient instead of raising: the
-    sampler treats them as rejections.
+    :func:`grad_log_joint_latents`.  Bindings for the parameters and the
+    data are prepared once; each call hands the tape ``q`` whole, packed
+    in :func:`coord_slices` order, and gets one flat gradient back.
+    Accepts a single ``(dim,)`` point or a ``(rows, dim)`` batch.
+    Out-of-support and numerically exploded rows come back as ``-inf``
+    with zero gradient instead of raising: the sampler treats them as
+    rejections.
 
     Each observed value is either a ``(dim,)`` vector shared by every row
     or an ``(n, dim)`` matrix giving row i its own datapoint, so one batch
     runs one chain per datapoint; batches must then have ``n`` rows.  A
     single ``(dim,)`` point against per-row data gives one value per
     datapoint and the gradient summed over them.
-
-    Instances reuse one bindings dictionary across calls, so share one
-    chain per instance, never one instance across threads.
     """
 
     def __init__(self, model, theta, data):
@@ -750,8 +748,7 @@ class LatentPosterior:
         self.theta = _check_theta(model, theta)
         self.compiled = _compile(model)
         self.slices, self.dim = coord_slices(model)
-        self.free_ids = model.free_ids
-        self._wrt = frozenset(self.free_ids)
+        self._layout = tuple((i, model.nodes[i].dim) for i in model.free_ids)
         self.rows = None
 
         env = model.layout.unpack(self.theta)
@@ -792,7 +789,7 @@ class LatentPosterior:
         self._checks = []
         for node_id, kind in self.compiled.support_checks:
             if node_id in self.slices:
-                self._checks.append((node_id, kind))
+                self._checks.append((self.slices[node_id], kind))
             elif np.any(_out_of_support(bindings[node_id], kind)):
                 raise DomainError(
                     f"observed value for '{node_id}' lies outside the "
@@ -810,33 +807,32 @@ class LatentPosterior:
                 + ("" if self.rows is None else f" in {self.rows} rows")
                 + f", got shape {q.shape}"
             )
-        bindings = self._bindings
-        for node_id, sl in self.slices.items():
-            bindings[node_id] = q[..., sl]
-        bad = _mask_bad_rows(self._checks, bindings)
+        bad = False
+        for sl, kind in self._checks:
+            v = q[..., sl]
+            out = _out_of_support(v, kind)
+            if out.any():
+                if bad is False:  # the first one: leave the caller's q be
+                    q = q.copy()
+                q[..., sl] = np.where(out, 0.5, v)
+                bad = np.logical_or(bad, np.any(out, axis=-1))
         rows = q.shape[0] if q.ndim == 2 else self.rows
         seed = None if rows is None else np.ones(rows)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             record = ad.evaluate_with_gradient(
-                self.compiled.root, bindings, seed_adjoint=seed, wrt=self._wrt
+                self.compiled.root, self._bindings, seed_adjoint=seed,
+                wrt=frozenset(), packed=(self._layout, q)
             )
-            parts = []
-            for i in self.free_ids:
-                g = record.grads.get(i)
-                if g is None:
-                    g = np.zeros(q.shape[:-1] + (self.model.nodes[i].dim,))
-                parts.append(g)
-            grad = (np.concatenate(parts, axis=-1) if parts
-                    else np.zeros(q.shape))
+        grad = record.packed
         grad = np.where(np.isfinite(grad), grad, 0.0)
         value = record.value
 
         if q.ndim == 1:
-            if bad or not np.all(np.isfinite(value)):
+            if bad or not np.isfinite(value).all():
                 return -np.inf, np.zeros(self.dim)
             return value, grad
         keep = np.isfinite(value) & np.logical_not(bad)
-        if not np.all(keep):
+        if not keep.all():
             value = np.where(keep, value, -np.inf)
             grad = grad * keep[:, None]
         return value, grad

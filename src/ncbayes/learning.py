@@ -16,7 +16,7 @@ average of likelihoods underflows already at modest data dimension.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp, softmax
+from scipy.special import softmax
 
 from . import autodiff as ad
 from . import graph
@@ -162,11 +162,12 @@ def _mmcl_rows(model, theta, x_block, L, rng, want_grad):
                 compiled.root, bindings,
                 seed_adjoint=_SoftmaxSeed(b, L), wrt=wrt,
             )
-            w, grad = record.value, _flat_param_grad(model, record.grads)
+            w = record.value
+            grad = graph._pack_param_grads(model, record.grads)
         else:
             w, grad = ad.evaluate(compiled.root, bindings), None
         w = np.atleast_1d(w).reshape(b, L)
-        estimates = logsumexp(w, axis=1) - np.log(L)
+        estimates = _logsumexp_rows(w) - np.log(L)
     if not np.all(np.isfinite(estimates)):
         raise NonFinite("marginal likelihood estimate is not finite")
     if grad is not None and not np.all(np.isfinite(grad)):
@@ -193,15 +194,27 @@ class _SoftmaxSeed:
         return softmax(w, axis=1).reshape(-1) / self.b
 
 
-def _flat_param_grad(model, grads):
-    layout = model.layout
-    parts = []
-    for name in layout:
-        shape = layout.blocks[name][1]
-        g = grads.get(f"theta:{name}")
-        parts.append(np.zeros(shape).reshape(-1) if g is None
-                     else np.asarray(g).reshape(-1))
-    return np.concatenate(parts) if parts else np.zeros(0)
+def _logsumexp_rows(w):
+    """``scipy.special.logsumexp(w, axis=1)`` of a real matrix, bit for bit,
+    by scipy's algorithm without its array-API dispatch.
+
+    The row maximum and the count of entries equal to it come apart from
+    the rest, whose shifted exponentials sum to ``s``; the result is
+    ``log1p(s / count) + log(count) + max``.  Rows where that is not finite
+    (an infinite or NaN maximum) take ``log(sum(exp(w)))``, as scipy does.
+    Call it with overflow, invalid and divide warnings silenced.
+    """
+    top = w.max(axis=1, keepdims=True)
+    at_top = w == top
+    count = at_top.sum(axis=1, keepdims=True, dtype=np.float64)
+    rest = np.exp(np.where(at_top, -np.inf, w) - top).sum(axis=1,
+                                                         keepdims=True)
+    rest = np.where(rest == 0, rest, rest / count)
+    out = (np.log1p(rest) + np.log(count) + top)[:, 0]
+    finite = np.isfinite(out)
+    if not finite.all():
+        out = np.where(finite, out, np.log(np.exp(w).sum(axis=1)))
+    return out
 
 
 def _single_point(model, data):
@@ -250,15 +263,18 @@ def marginal_log_likelihood(model, theta, data, L, seed, block=None):
 
     Evaluation helper for learning traces: the seed pins the auxiliary
     draws, so values at different parameters are directly comparable.
-    Datapoints are processed in blocks sized to keep about 20000 rows per
-    evaluation.
+    Datapoints are processed in blocks of ``block`` points, by default
+    sized to keep about 20000 rows per evaluation.
     """
+    if int(L) < 1:
+        raise ConfigurationError("L must be at least 1")
+    if block is not None and int(block) < 1:
+        raise ConfigurationError("block must be at least 1")
     _require_fully_noncentered(model)
     data, n = _check_dataset(model, data)
     theta = np.asarray(theta, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    if block is None:
-        block = max(1, 20_000 // int(L))
+    block = max(1, 20_000 // int(L)) if block is None else int(block)
     total = 0.0
     for lo in range(0, n, block):
         x_block = {i: v[lo:lo + block] for i, v in data.items()}
@@ -351,7 +367,7 @@ def complete_data_gradient(model, theta, data, samples):
             compiled.root, bindings,
             seed_adjoint=np.full(S * n, 1.0 / (S * n)), wrt=wrt
         )
-    grad = _flat_param_grad(model, record.grads)
+    grad = graph._pack_param_grads(model, record.grads)
     if not np.all(np.isfinite(grad)):
         raise NonFinite("complete-data gradient is not finite")
     return grad

@@ -64,7 +64,8 @@ def test_evaluators_built_as_the_benchmark_builds_them():
     assert np.all(np.isfinite(value))
 
 
-def test_one_posterior_call_is_one_traced_tape_call():
+@pytest.mark.parametrize("system", ["cp", "dncp"])
+def test_one_posterior_call_is_one_traced_tape_call(system):
     """The tracer counts tape calls and rows at
     ``autodiff.evaluate_with_gradient``, which the evaluator must call
     through the module attribute with ``seed_adjoint`` as a keyword."""
@@ -72,6 +73,9 @@ def test_one_posterior_call_is_one_traced_tape_call():
     draw = ncbayes.graph.ancestral_sample(model, theta,
                                           np.random.default_rng(1))
     data = {i: draw[i] for i in model.observed_ids}
+    if system == "dncp":
+        reparam = ncbayes.reparam
+        model = reparam.apply_plan(model, reparam.full_dncp_plan(model))
     post = ncbayes.hmc.LatentPosterior(model, theta, data)
     q = np.random.default_rng(2).standard_normal((16, post.dim))
     expected = post.value_and_grad(q)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ncbayes import diagnostics
-from ncbayes.errors import ConstantSeries, ShapeError
+from ncbayes.errors import ConstantSeries, NonFinite, ShapeError
 
 
 def ar1(phi, n, rng, burn=500):
@@ -140,3 +140,32 @@ class TestEssReport:
         draws = np.column_stack([np.arange(200.0), np.full(200, 3.3)])
         with pytest.raises(ConstantSeries):
             diagnostics.ess_report(draws)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "+inf", "-inf"])
+class TestNonFiniteChains:
+    """One non-finite draw raises instead of giving a NaN ESS."""
+
+    def series(self, bad):
+        x = np.random.default_rng(13).standard_normal(500)
+        x[137] = bad
+        return x
+
+    def test_autocorrelation(self, bad):
+        with pytest.raises(NonFinite):
+            diagnostics.autocorrelation(self.series(bad), 10)
+
+    def test_effective_sample_size(self, bad):
+        with pytest.raises(NonFinite):
+            diagnostics.effective_sample_size(self.series(bad))
+
+    def test_ess_report(self, bad):
+        draws = np.column_stack([np.random.default_rng(14).standard_normal(500),
+                                 self.series(bad)])
+        with pytest.raises(NonFinite):
+            diagnostics.ess_report(draws)
+
+    def test_every_value_non_finite(self, bad):
+        with pytest.raises(NonFinite):
+            diagnostics.effective_sample_size(np.full(500, bad))

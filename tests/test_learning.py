@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import logsumexp
 
 from ncbayes import learning
 from ncbayes.errors import (
@@ -211,6 +214,25 @@ class TestDatasetHelpers:
         b = marginal_log_likelihood(nc, np.zeros(1), data, 200, seed=9)
         assert a == b
 
+    @pytest.mark.parametrize("L,block", [(0, None), (-3, None), (10, 0),
+                                         (10, -1), (0, 5)])
+    def test_draws_and_block_must_be_positive(self, L, block):
+        nc = noncentered_toy()
+        data = {"x": np.zeros((4, 1))}
+        with pytest.raises(ConfigurationError):
+            marginal_log_likelihood(nc, np.zeros(1), data, L, seed=0,
+                                    block=block)
+
+    def test_block_size_does_not_change_the_estimate(self):
+        # the blocks draw the noise in order, one row per point and draw
+        nc = noncentered_toy()
+        data = {"x": np.random.default_rng(1).normal(0.2, 1.4, (7, 1))}
+        whole = marginal_log_likelihood(nc, np.zeros(1), data, 30, seed=4)
+        for block in (1, 3, 7, 50):
+            assert marginal_log_likelihood(
+                nc, np.zeros(1), data, 30, seed=4, block=block
+            ) == pytest.approx(whole, rel=1e-12)
+
     def test_dataset_validation(self):
         nc = noncentered_toy()
         with pytest.raises(ShapeError):
@@ -360,3 +382,30 @@ class TestTrain:
                                mmcl=MmclConfig(L=5))
         with pytest.raises(ConfigurationError):
             train("vi", model, tr, te, schedule)
+
+
+@st.composite
+def log_weight_blocks(draw):
+    """(rows, L) blocks at one scale, with ties and non-finite entries."""
+    rows, L = draw(st.integers(1, 4)), draw(st.integers(1, 39))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    w = scale * np.random.default_rng(seed).standard_normal((rows, L))
+    for _ in range(draw(st.integers(0, 4))):  # ties, often with the max
+        r, a, b = (draw(st.integers(0, rows - 1)),
+                   draw(st.integers(0, L - 1)), draw(st.integers(0, L - 1)))
+        w[r, a] = w[r].max() if draw(st.booleans()) else w[r, b]
+    for _ in range(draw(st.integers(0, 3))):
+        w[draw(st.integers(0, rows - 1)), draw(st.integers(0, L - 1))] = (
+            draw(st.sampled_from([np.inf, -np.inf, np.nan])))
+    if draw(st.booleans()):  # a whole row of one value
+        w[0] = draw(st.sampled_from([-np.inf, np.inf, np.nan, 0.5]))
+    return w
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=log_weight_blocks())
+def test_logsumexp_rows_is_scipys_bit_for_bit(w):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        got = learning._logsumexp_rows(w)
+    np.testing.assert_array_equal(got, logsumexp(w, axis=1))
