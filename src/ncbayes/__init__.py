@@ -37,7 +37,7 @@ from .graph import (
     log_joint,
     random_params,
 )
-from .hmc import ChainResult, HmcConfig, leapfrog, run_chain, run_chains
+from .hmc import ChainResult, HmcConfig, run_chain, run_chains
 from .learning import (
     AdagradState,
     MmclConfig,

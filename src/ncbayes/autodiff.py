@@ -20,10 +20,13 @@ A group of inputs can arrive as column slices of one array (a *layout*
 of ``(name, width)`` pairs, see :func:`evaluate_with_gradient`).  The
 program reads each as a view of that array, a ``stack`` of such inputs
 of one width as one reshaped view when they lie end to end (else as one
-gather), and writes their adjoints into one flat gradient: a stacked
-adjoint enters with one slice (or index) write.  Every coordinate keeps
-its contributions in the unpacked program's order, so both programs give
-the same bits.
+gather), and writes their adjoints into one flat gradient by one rule:
+the gradient starts as zeros and every contribution is added in place
+where the backward pass reaches it, with one slice (or index) add per
+stacked adjoint.  Every coordinate so takes its contributions in the
+unpacked program's order, and as ``0.0 + x == x`` both programs give the
+same bits -- save that a coordinate whose every contribution is ``-0.0``
+reads ``+0.0``.
 
 Shape conventions
 -----------------
@@ -264,9 +267,9 @@ class _Writer:
 
     With a packed ``layout``, ``packed[name]`` is an input's (offset,
     width) in the argument ``flat``.  ``stacked[i]`` holds the column
-    offsets of a stack read from ``flat`` at once, ``read`` the nodes that
-    read a packed input as a view of its own, and ``contributions`` the
-    adjoint terms :meth:`resolve` writes into the flat gradient ``grad``.
+    offsets of a stack read from ``flat`` at once and ``read`` the nodes
+    that read a packed input as a view of its own.  Their adjoints are
+    added into the zeroed flat gradient ``grad`` by :meth:`contribute`.
     """
 
     def __init__(self, order, names, shapes, layout=None):
@@ -299,7 +302,6 @@ class _Writer:
         for i, kids in enumerate(self.kids):
             if self.stacked.get(i) is None:
                 self.read.update(kids)
-        self.contributions = []
         self.namespace = {"np": np, "expit": expit, "_seed": _seed,
                           "SIGMA_FLOOR": SIGMA_FLOOR,
                           "HALF_LOG_2PI": _HALF_LOG_2PI}
@@ -458,7 +460,7 @@ class _Writer:
                 self.live.append(any(self.live[j] for j in self.kids[i]))
         self.started = [False] * len(order)
         if self.flat is not None:
-            self.emit(f"grad = np.empty({self.flat})")
+            self.emit(f"grad = np.zeros({self.flat})")
         r = self.index[id(root)]
         self.emit(f"g{r} = _seed(seed, {self.var[r]}, {self.shape[r]})")
         self.started[r] = True
@@ -599,105 +601,36 @@ class _Writer:
 
     # -- the flat gradient of packed inputs ----------------------------------------
 
-    def contribute(self, names, expr, stacked):
-        """Mark where ``expr`` adds to the adjoints of packed inputs
-        ``names``: one input, or the operands of a packed stack (``expr``
-        is then ``(..., k, width)``).  :meth:`resolve` writes the code."""
-        self.lines.append(len(self.contributions))
-        self.contributions.append((names, expr, stacked))
+    def contribute(self, names, source, stacked):
+        """Add ``source`` into the flat gradient ``grad`` at the packed
+        inputs ``names``: one input, or the operands of a packed stack
+        (``source`` is then the stack's adjoint, ``(..., k, width)``).
 
-    def resolve(self):
-        """Replace the marks by writes into the flat gradient ``grad``.
-
-        Each coordinate takes its contributions in the order the per-node
-        program adds them: the first assigns, later ones add in place.  The
-        first two may swap, as ``a + b == b + a`` exactly: a contribution
-        that is second for some inputs and first for the rest assigns all
-        of them when every first contribution it follows covers only inputs
-        it comes second to; those follow it as adds.  Inputs the root does
-        not reach get zeros.
+        One ``+=`` per run of operands with no input twice, written where
+        the backward pass reaches it, so every coordinate takes its
+        contributions in the per-node program's order.
         """
-        contributions = self.contributions
-        events = {}
-        for c, (names, _, _) in enumerate(contributions):
-            for k, name in enumerate(names):
-                events.setdefault(name, []).append((c, k))
-        leader = {name: seq[0] for name, seq in events.items()}
-        behind = {}
-        for e, (names, _, _) in enumerate(contributions):
-            for f in self._swappable(e, names, events):
-                behind.setdefault(e, []).append(f)
-                for name in contributions[f][0]:
-                    leader[name] = (e, names.index(name))
-        deferred = {f for fs in behind.values() for f in fs}
-        lines = []
-        for line in self.lines:
-            if not isinstance(line, int):
-                lines.append(line)
-            elif line in deferred:
-                lines.append(f"    k{line} = {contributions[line][1]}")
-            else:
-                lines += self._writes(line, contributions[line][1], leader)
-                for f in behind.get(line, ()):
-                    lines += self._writes(f, f"k{f}", leader)
-        lines += [f"    grad[..., {lo}:{lo + width}] = 0.0"
-                  for name, (lo, width) in self.packed.items()
-                  if name not in events]
-        self.lines = lines
-
-    def _swappable(self, e, names, events):
-        """The first contributions that contribution ``e`` may lead."""
-        contributions = self.contributions
-        if len(set(names)) < len(names):
-            return ()
-        firsts = set()
-        for name in names:
-            seq = events[name]
-            if seq[0][0] != e:
-                if len(seq) < 2 or seq[1][0] != e:
-                    return ()
-                firsts.add(seq[0][0])
-        for f in firsts:
-            fnames = contributions[f][0]
-            if len(set(fnames)) < len(fnames) or any(
-                    len(events[m]) < 2 or events[m][0][0] != f
-                    or events[m][1][0] != e for m in fnames):
-                return ()
-        return sorted(firsts)
-
-    def _writes(self, c, source, leader):
-        """Lines writing contribution ``c`` (held in ``source``): one per
-        run of operands that all assign or all add, with no input twice."""
-        names, _, stacked = self.contributions[c]
-        out, k = [], 0
-        while k < len(names):
-            assign = leader[names[k]] == (c, k)
-            b = k + 1
-            while (b < len(names) and (leader[names[b]] == (c, b)) == assign
-                   and names[b] not in names[k:b]):
+        width = self.packed[names[0]][1]
+        a = 0
+        while a < len(names):
+            b = a + 1
+            while b < len(names) and names[b] not in names[a:b]:
                 b += 1
-            out.append(self._write(c, names, k, b, source, stacked,
-                                   "=" if assign else "+="))
-            k = b
-        return out
-
-    def _write(self, c, names, a, b, source, stacked, op):
-        """``grad[..., columns] op source`` for operands ``a:b``."""
-        width = self.packed[names[a]][1]
-        cols = [self.packed[n][0] for n in names[a:b]]
-        shape = self.flat[:-1] + ((b - a) * width,)
-        if stacked and b - a == 1:
-            source = f"{source}[..., {a}, :]"
-        elif stacked and b - a == len(names):
-            source = f"{source}.reshape({shape})"
-        elif stacked:
-            source = f"{source}[..., {a}:{b}, :].reshape({shape})"
-        if _run(cols, width):
-            target = f"{cols[0]}:{cols[0] + len(cols) * width}"
-        else:
-            target = self.const(f"{c}_{a}", np.add.outer(
-                cols, np.arange(width)).reshape(-1), "cx")
-        return f"    grad[..., {target}] {op} {source}"
+            cols = [self.packed[n][0] for n in names[a:b]]
+            part = source
+            if stacked and b - a == 1:
+                part = f"{source}[..., {a}, :]"
+            elif stacked:
+                if b - a < len(names):
+                    part = f"{source}[..., {a}:{b}, :]"
+                part += f".reshape({self.flat[:-1] + ((b - a) * width,)})"
+            if _run(cols, width):
+                target = f"{cols[0]}:{cols[0] + len(cols) * width}"
+            else:
+                target = self.const(len(self.lines), np.add.outer(
+                    cols, np.arange(width)).reshape(-1), "cx")
+            self.emit(f"grad[..., {target}] += {part}")
+            a = b
 
 
 def _run(cols, width):
@@ -725,7 +658,7 @@ _ELEMENTWISE_ADJOINT = {
 }
 
 # the writer's temporaries: values, adjoints and per-node intermediates
-_TEMPORARY = re.compile(r"\b[vtdrsqepgk]\d+\b")
+_TEMPORARY = re.compile(r"\b[vtdrsqepg]\d+\b")
 
 
 def _free_dead(lines):
@@ -758,7 +691,6 @@ def _generate(programs, root, shapes, wrt, gradient, layout):
         writer.backward(root, wrt)
         value = f"{value}, {writer.grads()}"
         if layout is not None:
-            writer.resolve()
             value += ", grad"
         args.append("seed")
     lines = _free_dead(writer.lines + [f"    return {value}"])
@@ -845,44 +777,13 @@ def evaluate_with_gradient(root: Expr, bindings: dict, seed_adjoint=None,
         ``value`` is the root value; ``grads`` maps each input name to the
         adjoint array, shaped like the bound value.  Inputs sharing a name
         have their adjoints summed.  With ``packed``, ``packed`` is the
-        adjoint of ``values`` in one array of its shape, zero for names
-        the root does not reach; every entry has the bits of the unpacked
-        program's adjoint.
+        adjoint of ``values`` in one array of its shape: zeros to which
+        each contribution is added in the unpacked program's order, so
+        every entry has the bits of the unpacked program's adjoint (an
+        all ``-0.0`` entry reads ``+0.0``) and names the root does not
+        reach stay zero.
     """
     if root.op == "outputs":
         raise ValueError("a multi-output expression has no gradient")
     function, args = _prepare(root, bindings, wrt, True, packed)
     return GradientRecord(*function(*args, seed_adjoint))
-
-
-def finite_difference_check(root: Expr, bindings: dict, step: float = 1e-5) -> float:
-    """Largest relative disagreement between adjoints and central differences.
-
-    Every coordinate of every bound input is perturbed by ``±step``.  The
-    relative error uses a unit floor in the denominator so that near-zero
-    gradients are compared absolutely.
-    """
-    record = evaluate_with_gradient(root, bindings)
-    if np.ndim(record.value) != 0 and not np.isscalar(record.value):
-        raise ValueError("finite_difference_check needs a scalar expression")
-    worst = 0.0
-    for name, grad in record.grads.items():
-        base = np.array(bindings[name], dtype=np.float64)
-        flat = base.reshape(-1)
-        gflat = np.asarray(grad).reshape(-1)
-        for k in range(flat.size):
-            saved = flat[k]
-            perturbed = dict(bindings)
-            work = base.copy().reshape(-1)
-            work[k] = saved + step
-            perturbed[name] = work.reshape(base.shape)
-            hi = evaluate(root, perturbed)
-            work = base.copy().reshape(-1)
-            work[k] = saved - step
-            perturbed[name] = work.reshape(base.shape)
-            lo = evaluate(root, perturbed)
-            fd = (hi - lo) / (2.0 * step)
-            ad = gflat[k]
-            err = abs(ad - fd) / max(1.0, abs(ad), abs(fd))
-            worst = max(worst, err)
-    return worst

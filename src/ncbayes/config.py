@@ -10,6 +10,8 @@ running defaults.
 from __future__ import annotations
 
 import dataclasses
+import numbers
+import typing
 from dataclasses import dataclass
 
 import yaml
@@ -20,6 +22,9 @@ from .hmc import HmcConfig, _check_mix_rho
 
 _TUPLE_KEYS = ("sigma_z_grid", "log_sigma_z_grid", "replicate_seeds",
                "gen_dims")
+
+# the value types a file may give a field annotated with each type
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real}
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,28 @@ def _build(cls, given, defaults, label):
     for key in _TUPLE_KEYS:
         if key in merged and isinstance(merged[key], list):
             merged[key] = tuple(merged[key])
+    _check_types(cls, merged, label)
     return cls(**merged)
+
+
+def _is(value, kinds):
+    """``isinstance``, save that a YAML true or false is no number."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _check_types(cls, merged, label):
+    """Reject a value whose type does not fit its field, naming the key."""
+    hints = typing.get_type_hints(cls)
+    for key, value in merged.items():
+        hint = hints[key]
+        kinds = tuple(_ACCEPTS.get(t, t)
+                      for t in typing.get_args(hint) or (hint,))
+        if not _is(value, kinds) or (key in _TUPLE_KEYS and not all(
+                _is(v, numbers.Real) for v in value)):
+            expected = ("a list of numbers" if key in _TUPLE_KEYS
+                        else getattr(hint, "__name__", hint))
+            raise ConfigurationError(
+                f"{label} key {key} must be {expected}, got {value!r}")
 
 
 def _split_sections(raw):

@@ -54,20 +54,30 @@ def _truncated_autocorr_time(rho) -> float:
     return 2.0 * total - 1.0
 
 
+def _all_lags(series) -> np.ndarray:
+    """Autocorrelation of a series of at least 100 draws at every lag."""
+    x = np.asarray(series, dtype=np.float64).ravel()
+    n = x.size
+    if n < 100:
+        raise ShapeError(f"need at least 100 draws, got {n}")
+    return autocorrelation(x, n - 1)
+
+
+def _ess(rho) -> float:
+    """ESS of a series from its autocorrelation at every lag."""
+    n = rho.size
+    tau = _truncated_autocorr_time(rho)
+    ess = float(n) if tau <= 0.0 else n / tau
+    return float(min(max(ess, 1.0), float(n)))
+
+
 def effective_sample_size(series) -> float:
     """Number of independent draws carrying the same information.
 
     N / (1 + 2 sum of autocorrelations), truncated by the
     initial-positive-sequence rule and clamped to [1, N].
     """
-    x = np.asarray(series, dtype=np.float64).ravel()
-    n = x.size
-    if n < 100:
-        raise ShapeError(f"need at least 100 draws, got {n}")
-    rho = autocorrelation(x, n - 1)
-    tau = _truncated_autocorr_time(rho)
-    ess = float(n) if tau <= 0.0 else n / tau
-    return float(min(max(ess, 1.0), float(n)))
+    return _ess(_all_lags(series))
 
 
 @dataclass(frozen=True)
@@ -95,10 +105,15 @@ def ess_report(draws, max_lag=100) -> EssReport:
         raise ShapeError("draws must be a vector or a matrix of rows")
     n, d = a.shape
     max_lag = min(int(max_lag), n - 1)
-    ess = np.array([effective_sample_size(a[:, j]) for j in range(d)])
-    ac = np.column_stack(
-        [autocorrelation(a[:, j], max_lag) for j in range(d)]
-    )
+    # one FFT per coordinate serves its ESS and its stored autocorrelation
+    ess, ac = np.empty(d), []
+    for j in range(d):
+        rho = _all_lags(a[:, j])
+        ess[j] = _ess(rho)
+        ac.append(rho[:max_lag + 1])
+    if max_lag < 0:
+        raise ShapeError(f"max_lag {max_lag} outside [0, {n - 1}]")
+    ac = np.column_stack(ac)
     return EssReport(
         per_coordinate_ess=ess,
         median_ess=float(np.median(ess)),

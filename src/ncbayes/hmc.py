@@ -157,28 +157,6 @@ def _adapt(step_sizes, accepted, target_accept):
     return new
 
 
-def leapfrog(q, p, step_size, n_steps, grad_fn):
-    """Volume-preserving half-kick / drift / half-kick integrator.
-
-    ``grad_fn`` maps a position to the gradient of the log density.
-    Raises :class:`NonFinite` when the trajectory leaves the representable
-    range, which callers treat as a rejected proposal.
-    """
-    if not step_size > 0:
-        raise ConfigurationError("step_size must be positive")
-    if int(n_steps) < 1:
-        raise ConfigurationError("n_steps must be at least 1")
-    q = np.asarray(q, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    q, p, _, _ = _integrate(
-        q, p, lambda x: (0.0, np.asarray(grad_fn(x), dtype=np.float64)),
-        float(step_size), int(n_steps),
-    )
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-        raise NonFinite("leapfrog trajectory diverged")
-    return q, p
-
-
 def _check_mix_rho(mix_rho):
     """Reject a mixture weight on "cp" outside [0, 1], NaN included."""
     if not (isinstance(mix_rho, numbers.Real) and 0.0 <= mix_rho <= 1.0):
@@ -209,6 +187,8 @@ def run_chains(model, theta, data, config, parameterization="cp", plan=None,
         seeds = (config.seed,)
     gens = [np.random.default_rng(s) for s in seeds]
     rows = len(gens)
+    if not rows:
+        raise ConfigurationError("seeds must name at least one chain")
 
     dncp_target = None
     if par != "cp":

@@ -35,7 +35,7 @@ from ncbayes.graph import (
     log_joint,
     random_params,
 )
-from ncbayes.hmc import HmcConfig, leapfrog, run_chain
+from ncbayes.hmc import HmcConfig, run_chain
 from ncbayes.learning import mmcl_estimate, mmcl_gradient
 from ncbayes.modelzoo import (
     build_dbn_model,
@@ -43,6 +43,7 @@ from ncbayes.modelzoo import (
     build_lds_model,
 )
 from ncbayes.reparam import apply_plan, full_dncp_plan, z_from_eps
+from test_hmc import leapfrog
 
 
 def random_summaries(n, rng):

@@ -7,6 +7,39 @@ from ncbayes import autodiff as ad
 from ncbayes.errors import UnboundInput
 
 
+def finite_difference_check(root: ad.Expr, bindings: dict, step: float = 1e-5) -> float:
+    """Largest relative disagreement between adjoints and central differences.
+
+    Every coordinate of every bound input is perturbed by ``±step``.  The
+    relative error uses a unit floor in the denominator so that near-zero
+    gradients are compared absolutely.
+    """
+    record = ad.evaluate_with_gradient(root, bindings)
+    if np.ndim(record.value) != 0 and not np.isscalar(record.value):
+        raise ValueError("finite_difference_check needs a scalar expression")
+    worst = 0.0
+    for name, grad in record.grads.items():
+        base = np.array(bindings[name], dtype=np.float64)
+        flat = base.reshape(-1)
+        gflat = np.asarray(grad).reshape(-1)
+        for k in range(flat.size):
+            saved = flat[k]
+            perturbed = dict(bindings)
+            work = base.copy().reshape(-1)
+            work[k] = saved + step
+            perturbed[name] = work.reshape(base.shape)
+            hi = ad.evaluate(root, perturbed)
+            work = base.copy().reshape(-1)
+            work[k] = saved - step
+            perturbed[name] = work.reshape(base.shape)
+            lo = ad.evaluate(root, perturbed)
+            fd = (hi - lo) / (2.0 * step)
+            adj = gflat[k]
+            err = abs(adj - fd) / max(1.0, abs(adj), abs(fd))
+            worst = max(worst, err)
+    return worst
+
+
 def test_gaussian_log_pdf_values():
     x = ad.inp("x")
     expr = ad.gaussian_log_pdf(x, ad.constant([0.0]), ad.constant(1.0))
@@ -106,7 +139,7 @@ def test_affine_gradients():
 def test_linear_expression_finite_difference_is_exact():
     x = ad.inp("x")
     expr = ad.total(ad.add(ad.mul(ad.constant(3.0), x), ad.constant([1.0, -2.0])))
-    err = ad.finite_difference_check(expr, {"x": np.array([0.3, -0.7])})
+    err = finite_difference_check(expr, {"x": np.array([0.3, -0.7])})
     assert err < 1e-10
 
 
@@ -128,7 +161,7 @@ def test_smooth_composite_finite_difference():
             "y": rng.standard_normal(3),
             "k": rng.integers(0, 2, size=3).astype(float),
         }
-        assert ad.finite_difference_check(expr, bindings, step=1e-5) < 1e-6
+        assert finite_difference_check(expr, bindings, step=1e-5) < 1e-6
 
 
 def test_gradient_of_sum_is_sum_of_gradients():

@@ -114,6 +114,21 @@ class TestExitCodes:
         assert run(["experiment", "lds", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, key", [
+        ("sampler: {step_size: abc}\n", "step_size"),
+        ("sampler: {leapfrog_steps: many}\n", "leapfrog_steps"),
+        ("sampler: {burn_in: [1]}\n", "burn_in"),
+        ("model: dbn\nT: ten\n", "T"),
+    ], ids=["step_size", "leapfrog_steps", "burn_in", "T"])
+    def test_value_of_wrong_type(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text)
+        assert run(["sample", "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"key {key} " in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, capsys):
         assert run(["analyze", "--config", "/no/such.yaml"]) == 2
         assert "config error" in capsys.readouterr().err

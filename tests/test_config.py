@@ -119,3 +119,27 @@ class TestAnalyzeAndSample:
         assert cfg.sampler.samples == 150
         assert cfg.sampler.step_size == 0.05
         assert cfg.seed == 2
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("build, raw, key", [
+        (sample_config, {"sampler": {"samples": 150.0}}, "samples"),
+        (sample_config, {"mix_rho": True}, "mix_rho"),
+        (analyze_config, {"alpha": "-1"}, "alpha"),
+        (experiment_config, {"experiment": "lds", "out_dir": 7}, "out_dir"),
+        (experiment_config, {"experiment": "lds", "idx_path": 7},
+         "idx_path"),
+        (experiment_config, {"experiment": "lds", "gen_dims": [2, "x"]},
+         "gen_dims"),
+        (experiment_config, {"experiment": "lds",
+                             "learning": {"method": 2}}, "method"),
+    ], ids=["int", "bool", "optional-float", "str", "optional-str",
+            "tuple-element", "learning"])
+    def test_wrong_type_names_the_key(self, build, raw, key):
+        with pytest.raises(ConfigurationError, match=f"key {key} "):
+            build(raw)
+
+    def test_numbers_and_null_accepted(self):
+        cfg = experiment_config({"experiment": "lds", "sigma_x": 2,
+                                 "sigma_z_grid": [1, 0.5], "idx_path": None})
+        assert cfg.sigma_x == 2 and cfg.sigma_z_grid == (1, 0.5)

@@ -136,6 +136,21 @@ class TestEssReport:
         assert report.per_coordinate_ess.shape == (1,)
         assert report.median_ess == report.per_coordinate_ess[0]
 
+    @pytest.mark.parametrize("n, max_lag", [(100, 100), (300, 100), (4000, 30)])
+    def test_columns_equal_the_single_series_estimators(self, n, max_lag):
+        rng = np.random.default_rng(15)
+        draws = np.column_stack([rng.standard_normal(n),
+                                 ar1(0.9, n, rng), ar1(-0.5, n, rng)])
+        report = diagnostics.ess_report(draws, max_lag=max_lag)
+        lag = min(max_lag, n - 1)
+        for j in range(draws.shape[1]):
+            np.testing.assert_array_equal(
+                report.per_coordinate_ess[j],
+                diagnostics.effective_sample_size(draws[:, j]))
+            np.testing.assert_array_equal(
+                report.autocorr[:, j],
+                diagnostics.autocorrelation(draws[:, j], lag))
+
     def test_constant_column_rejected(self):
         draws = np.column_stack([np.arange(200.0), np.full(200, 3.3)])
         with pytest.raises(ConstantSeries):
