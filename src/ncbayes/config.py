@@ -18,7 +18,7 @@ import yaml
 
 from .errors import ConfigurationError
 from .experiments import ExperimentConfig, LearningSpec
-from .hmc import HmcConfig, _check_mix_rho
+from .hmc import HmcConfig, _check_mix_rho, _is
 
 _TUPLE_KEYS = ("sigma_z_grid", "log_sigma_z_grid", "replicate_seeds",
                "gen_dims")
@@ -111,11 +111,6 @@ def _build(cls, given, defaults, label):
             merged[key] = tuple(merged[key])
     _check_types(cls, merged, label)
     return cls(**merged)
-
-
-def _is(value, kinds):
-    """``isinstance``, save that a YAML true or false is no number."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def _check_types(cls, merged, label):

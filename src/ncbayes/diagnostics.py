@@ -113,6 +113,8 @@ def ess_report(draws, max_lag=100) -> EssReport:
         ac.append(rho[:max_lag + 1])
     if max_lag < 0:
         raise ShapeError(f"max_lag {max_lag} outside [0, {n - 1}]")
+    if d == 0:
+        raise ShapeError("draws have no coordinates")
     ac = np.column_stack(ac)
     return EssReport(
         per_coordinate_ess=ess,

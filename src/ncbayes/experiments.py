@@ -4,12 +4,14 @@ Each experiment writes three files into the output directory: results.csv
 (RFC-4180, header row, floats at 17 significant digits), summary.json, and
 manifest.json carrying the full config, the seed, and a git-style content
 hash of the config.  Drivers compute their tables first, as blocks of
-columns (1-D arrays, one per field); the writer formats a whole column per
-pass, one block at a time, and raises ``ValueError`` for a field that would
-need CSV quoting.  Reruns with the same config are byte-identical: every
-random stream derives from ``seed`` through fixed offsets (+7 model
-parameters, +12 dataset) or the explicit replicate seed list, and nothing
-time-dependent is written.
+columns (1-D arrays, one per field), and the writer takes one block at a
+time.  It formats each distinct value of a column once per block (floats
+are told apart by their bits, so -0.0 and 0.0 keep their own text), takes
+the texts back to the rows by the inverse index, and raises ``ValueError``
+for a field that would need CSV quoting.  Reruns with the same config are
+byte-identical: every random stream derives from ``seed`` through fixed
+offsets (+7 model parameters, +12 dataset) or the explicit replicate seed
+list, and nothing time-dependent is written.
 
 Replicate chains fan out as batch rows inside the sampler rather than as
 worker processes; emission happens in one place either way.
@@ -24,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -159,23 +160,33 @@ def _write_outputs(out_dir, header, blocks, summary, manifest):
 
 
 def _format_column(column, lone):
-    values = column.tolist()
+    """The column's fields as an object array: each distinct value is
+    formatted once and taken back to its rows by the inverse index."""
     kind = column.dtype.kind
-    if kind == "f":
-        return map(format, values, repeat(".17g"))
-    if kind in "iu":
-        return map(str, values)
-    if kind == "b":
-        return ("1" if v else "0" for v in values)
-    if kind != "U":
+    if kind not in "fiubU":
         raise TypeError(f"cannot write a column of dtype {column.dtype}")
-    # fields the csv module would quote: any holding a delimiter, a quote
-    # or a line break, and an empty field that is its row's only field
-    text = "".join(values)
-    if any(c in text for c in ',"\r\n') or (lone and "" in values):
-        raise ValueError("a CSV field would need quoting: it holds a comma, "
-                         "a quote or a line break, or is a lone empty field")
-    return values
+    # floats are keyed by their bits, so -0.0 and 0.0 keep their own text
+    keys = (column.astype(np.float64, copy=False).view(np.int64)
+            if kind == "f" else column)
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    if kind == "f":
+        texts = [format(v, ".17g")
+                 for v in distinct.view(np.float64).tolist()]
+    elif kind in "iu":
+        texts = list(map(str, distinct.tolist()))
+    elif kind == "b":
+        texts = ["1" if v else "0" for v in distinct.tolist()]
+    else:
+        texts = distinct.tolist()
+        # fields the csv module would quote: any holding a delimiter, a
+        # quote or a line break, and an empty field that is its row's only
+        # field
+        text = "".join(texts)
+        if any(c in text for c in ',"\r\n') or (lone and "" in texts):
+            raise ValueError("a CSV field would need quoting: it holds a "
+                             "comma, a quote or a line break, or is a lone "
+                             "empty field")
+    return np.array(texts, dtype=object)[inverse]
 
 
 def _write_csv(fh, header, blocks):

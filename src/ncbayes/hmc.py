@@ -41,6 +41,12 @@ GROW = 1.02
 _SYSTEM_OF = {"cp": "z", "dncp": "eps"}
 
 
+def _is(value, kinds):
+    """``isinstance``, save that a bool (or a YAML true or false) is no
+    number."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class HmcConfig:
     """Sampler settings.
@@ -57,15 +63,24 @@ class HmcConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for kinds, what, names in (
+                (numbers.Real, "a real", ("step_size", "target_accept")),
+                (numbers.Integral, "an integer",
+                 ("leapfrog_steps", "burn_in", "samples", "seed"))):
+            for name in names:
+                value = getattr(self, name)
+                if not _is(value, kinds):
+                    raise ConfigurationError(
+                        f"{name} must be {what}, got {value!r}")
         if not (np.isfinite(self.step_size) and self.step_size > 0):
             raise ConfigurationError("step_size must be a positive real")
-        if int(self.leapfrog_steps) < 1:
+        if self.leapfrog_steps < 1:
             raise ConfigurationError("leapfrog_steps must be at least 1")
         if not (0.0 < self.target_accept < 1.0):
             raise ConfigurationError("target_accept must lie in (0, 1)")
-        if int(self.burn_in) < 0:
+        if self.burn_in < 0:
             raise ConfigurationError("burn_in cannot be negative")
-        if int(self.samples) < 1:
+        if self.samples < 1:
             raise ConfigurationError("samples must be at least 1")
 
 

@@ -442,3 +442,33 @@ def test_partial_plan_with_custom_links_matches_numpy():
     data = _data(cp_model, theta, 2)
     q = _coords(model, 3, 6)
     _assert_model_matches(cp_model, planned, theta, data, q)
+
+
+def test_models_differing_in_constants_compile_once(monkeypatch):
+    """Programs of equal source share one code object; each still runs on
+    its own root's constants."""
+    data = {"x1": np.array([0.3]), "x2": np.array([-0.4])}
+    q = np.random.default_rng(5).standard_normal((3, 2))
+
+    def value_and_grad(sigma_z):
+        model = build_lds_model(1.0, sigma_z)
+        return LatentPosterior(model, np.zeros(0), data).value_and_grad(q)
+
+    alone = {}
+    for sigma_z in (0.5, 2.0):
+        monkeypatch.setattr(ad, "_CODE", {})
+        alone[sigma_z] = value_and_grad(sigma_z)
+    monkeypatch.setattr(ad, "_CODE", {})
+    calls = []
+
+    def counting_compile(*args):
+        calls.append(args)
+        return compile(*args)
+
+    monkeypatch.setattr(ad, "compile", counting_compile, raising=False)
+    shared = {sigma_z: value_and_grad(sigma_z) for sigma_z in (0.5, 2.0)}
+    assert len(calls) == 1
+    assert not np.array_equal(shared[0.5][0], shared[2.0][0])
+    for sigma_z, (value, grad) in shared.items():
+        np.testing.assert_array_equal(value, alone[sigma_z][0])
+        np.testing.assert_array_equal(grad, alone[sigma_z][1])

@@ -151,6 +151,13 @@ class TestEssReport:
                 report.autocorr[:, j],
                 diagnostics.autocorrelation(draws[:, j], lag))
 
+    def test_no_columns_rejected(self):
+        with pytest.raises(ShapeError):
+            diagnostics.ess_report(np.zeros((500, 0)))
+        # an empty chain still fails on its lag bound first
+        with pytest.raises(ShapeError, match="max_lag"):
+            diagnostics.ess_report(np.zeros((0, 0)))
+
     def test_constant_column_rejected(self):
         draws = np.column_stack([np.arange(200.0), np.full(200, 3.3)])
         with pytest.raises(ConstantSeries):

@@ -76,6 +76,26 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             HmcConfig(step_size=0.1, samples=0)
 
+    @pytest.mark.parametrize("fields, key", [
+        ({"step_size": "abc"}, "step_size"),
+        ({"step_size": True}, "step_size"),
+        ({"samples": 2.5}, "samples"),
+        ({"leapfrog_steps": 1.5}, "leapfrog_steps"),
+        ({"burn_in": False}, "burn_in"),
+        ({"target_accept": None}, "target_accept"),
+        ({"seed": 0.0}, "seed"),
+        ({"samples": np.bool_(True)}, "samples"),
+    ])
+    def test_rejects_fields_of_the_wrong_type(self, fields, key):
+        with pytest.raises(ConfigurationError, match=f"^{key} must be"):
+            HmcConfig(**{"step_size": 0.1, **fields})
+
+    def test_numpy_numbers_pass(self):
+        cfg = HmcConfig(step_size=np.float64(0.1), target_accept=np.float32(0.8),
+                        leapfrog_steps=np.int64(3), burn_in=np.int32(0),
+                        samples=np.uint8(5), seed=np.int64(7))
+        assert cfg.leapfrog_steps == 3 and cfg.samples == 5
+
     def test_defaults(self):
         cfg = HmcConfig(step_size=0.1)
         assert cfg.leapfrog_steps == 10
