@@ -12,7 +12,7 @@ import numpy as np
 
 from ncbayes.diagnostics import ess_report
 from ncbayes.graph import ancestral_sample
-from ncbayes.hmc import HmcConfig, run_chain
+from ncbayes.hmc import HmcConfig, run_chains
 from ncbayes.modelzoo import build_dbn_model
 
 config = HmcConfig(step_size=0.05, burn_in=300, samples=1200, seed=0)
@@ -27,8 +27,8 @@ for sigma_z in (1e-3, 1.0):
 
     print(f"conditional scale sigma_z = {sigma_z}")
     for par in ("cp", "dncp", "mix"):
-        result = run_chain(model, theta, data, config,
-                           parameterization=par, mix_rho=0.5)
+        result = run_chains(model, theta, data, config,
+                            parameterization=par, mix_rho=0.5)[0]
         report = ess_report(result.draws)
         accept = float(result.accept_trace[config.burn_in:].mean())
         print(f"  {par:5s} worst-coordinate ESS {report.min_ess:8.1f}"

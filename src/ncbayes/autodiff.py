@@ -19,13 +19,14 @@ curvature is obtained elsewhere by finite differences of the gradient.
 Packed inputs
 -------------
 A group of inputs can arrive as column slices of one array (a *layout*
-of ``(name, width)`` pairs, see :func:`evaluate_with_gradient`).  The
-program reads each as a view of that array, a ``stack`` of such inputs
-of one width as one reshaped view when they lie end to end (else as one
-gather), and writes their adjoints into one flat gradient by one rule:
-the gradient starts as zeros and every contribution is added in place
-where the backward pass reaches it, with one slice (or index) add per
-stacked adjoint.  Every coordinate so takes its contributions in the
+of ``(name, shape)`` pairs, see :func:`evaluate_with_gradient`).  The
+program reads each as a view of that array, reshaped to the input's
+shape when it has other than one axis; a ``stack`` of 1-D inputs of one
+width as one reshaped view when they lie end to end (else as one
+gather).  It writes their adjoints, flattened, into one flat gradient by
+one rule: the gradient starts as zeros and every contribution is added
+in place where the backward pass reaches it, with one slice (or index)
+add per stacked adjoint.  Every coordinate so takes its contributions in the
 unpacked program's order, and as ``0.0 + x == x`` both programs give the
 same bits -- save that a coordinate whose every contribution is ``-0.0``
 reads ``+0.0``.
@@ -268,7 +269,7 @@ class _Writer:
     assigned yet.
 
     With a packed ``layout``, ``packed[name]`` is an input's (offset,
-    width) in the argument ``flat``.  ``stacked[i]`` holds the column
+    shape) in the argument ``flat``.  ``stacked[i]`` holds the column
     offsets of a stack read from ``flat`` at once and ``read`` the nodes
     that read a packed input as a view of its own.  Their adjoints are
     added into the zeroed flat gradient ``grad`` by :meth:`contribute`.
@@ -284,19 +285,19 @@ class _Writer:
         if layout is not None:
             *shapes, flat = shapes
             lo = 0
-            for name, width in layout:
+            for name, shape in layout:
                 if name in self.packed:
                     raise ValueError(f"layout names '{name}' twice")
-                self.packed[name] = (lo, width)
-                lo += width
+                self.packed[name] = (lo, shape)
+                lo += math.prod(shape)
             if not flat or flat[-1] != lo:
                 raise ValueError(f"packed values of shape {flat} do not hold "
                                  f"the layout's {lo} coordinates")
             self.flat = flat
         self.bound = dict(zip([n for n in names if n not in self.packed],
                               shapes))
-        for name, (lo, width) in self.packed.items():
-            self.bound[name] = flat[:-1] + (width,)
+        for name, (lo, shape) in self.packed.items():
+            self.bound[name] = flat[:-1] + shape
         self.uses = Counter(node.name for node in order if node.op == "input")
         self.stacked = {i: self._stacked(node) for i, node in enumerate(order)
                         if node.op == "stack"}
@@ -318,11 +319,12 @@ class _Writer:
                 and self.uses[node.name] == 1)
 
     def _stacked(self, node):
-        """Column offsets of a stack of direct packed inputs of one width,
-        else None."""
+        """Column offsets of a stack of direct packed 1-D inputs of one
+        width, else None."""
         if not all(self._direct(c) for c in node.children):
             return None
-        if len({self.packed[c.name][1] for c in node.children}) > 1:
+        shapes = {self.packed[c.name][1] for c in node.children}
+        if len(shapes) > 1 or len(shapes.pop()) != 1:
             return None
         return [self.packed[c.name][0] for c in node.children]
 
@@ -357,8 +359,11 @@ class _Writer:
                 v, shape = self.arg[node.name], self.bound[node.name]
                 if (node.name in self.packed and i in self.read
                         and v not in self.views):
-                    lo, width = self.packed[node.name]
-                    self.emit(f"{v} = flat[..., {lo}:{lo + width}]")
+                    lo, block = self.packed[node.name]
+                    view = f"flat[..., {lo}:{lo + math.prod(block)}]"
+                    if len(block) != 1:
+                        view += f".reshape({shape})"
+                    self.emit(f"{v} = {view}")
                     self.views.add(v)
             elif op == "add":
                 self.emit_sum(v, var)
@@ -578,7 +583,7 @@ class _Writer:
             f"e{i} * np.where({sigma} >= SIGMA_FLOOR, (r{i} * r{i} - 1.0) / s{i}, 0.0)",
             full, shp[2]))
 
-    def grads(self):
+    def adjoint_dict(self):
         """Dict display of each differentiated unpacked input's summed
         adjoint; a packed input read through several nodes contributes the
         sum to the flat gradient."""
@@ -607,12 +612,16 @@ class _Writer:
         """Add ``source`` into the flat gradient ``grad`` at the packed
         inputs ``names``: one input, or the operands of a packed stack
         (``source`` is then the stack's adjoint, ``(..., k, width)``).
+        An input of other than one axis adds its adjoint flattened.
 
         One ``+=`` per run of operands with no input twice, written where
         the backward pass reaches it, so every coordinate takes its
         contributions in the per-node program's order.
         """
-        width = self.packed[names[0]][1]
+        shape = self.packed[names[0]][1]
+        width = math.prod(shape)
+        if len(shape) != 1:
+            source = f"({source}).reshape({self.flat[:-1] + (width,)})"
         a = 0
         while a < len(names):
             b = a + 1
@@ -696,7 +705,7 @@ def _generate(programs, root, shapes, wrt, gradient, layout):
         args.append("flat")
     if gradient:
         writer.backward(root, wrt)
-        value = f"{value}, {writer.grads()}"
+        value = f"{value}, {writer.adjoint_dict()}"
         if layout is not None:
             value += ", grad"
         args.append("seed")
@@ -778,9 +787,10 @@ def evaluate_with_gradient(root: Expr, bindings: dict, seed_adjoint=None,
         ``grads`` contains exactly these names.  ``None`` keeps all inputs.
     packed : (layout, values), optional
         Inputs bound as slices of one array: ``layout`` is a tuple of
-        ``(name, width)`` pairs and ``values`` has shape ``(..., total
-        width)``, each name taking the next ``width`` columns.  These names
-        are not looked up in ``bindings`` and are always differentiated.
+        ``(name, shape)`` pairs and ``values`` has shape ``(..., total
+        size)``, each name taking the next ``prod(shape)`` columns, read
+        as an array of shape ``(..., *shape)``.  These names are not
+        looked up in ``bindings`` and are always differentiated.
 
     Returns
     -------

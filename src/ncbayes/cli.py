@@ -119,9 +119,9 @@ def _sample(args, raw):
     data = {i: draw[i] for i in model.nodes
             if model.nodes[i].kind == "observed"}
     sampler = dataclasses.replace(cfg.sampler, seed=cfg.seed)
-    result = hmc.run_chain(model, theta, data, sampler,
-                           parameterization=cfg.parameterization,
-                           mix_rho=cfg.mix_rho)
+    result = hmc.run_chains(model, theta, data, sampler,
+                            parameterization=cfg.parameterization,
+                            mix_rho=cfg.mix_rho)[0]
     labels = []
     for node_id in model.free_ids:
         dim = int(model.nodes[node_id].dim)

@@ -42,7 +42,7 @@ from .analysis import (
 from .datasets import load_idx, synthetic_dataset
 from .diagnostics import ess_report
 from .errors import ConfigurationError
-from .modelzoo import build_dbn_model, build_lds_model
+from .modelzoo import build_dbn_model, build_generative_mlp, build_lds_model
 from .reparam import apply_plan, full_dncp_plan
 
 EXPERIMENTS = ("correlation-scan", "lds", "dbn-ess", "mmcl-vs-mcem")
@@ -315,16 +315,7 @@ def _dbn_ess(config):
 
 def two_layer_model(gen_dims, obs_dim, sigma=1.0):
     """Tanh-affine Gaussian stack of two latent layers over Bernoulli leaves."""
-    d1, d2 = (int(d) for d in gen_dims)
-    return graph.build_model({"nodes": [
-        {"id": "z1", "dim": d1, "family": "gaussian", "scale": float(sigma)},
-        {"id": "z2", "dim": d2, "family": "gaussian", "parents": ["z1"],
-         "link": {"activation": "tanh", "weights": {"z1": "param"},
-                  "bias": "param"}, "scale": float(sigma)},
-        {"id": "x", "kind": "observed", "dim": int(obs_dim),
-         "family": "bernoulli", "parents": ["z2"],
-         "link": {"weights": {"z2": "param"}, "bias": "param"}},
-    ]})
+    return build_generative_mlp(gen_dims, obs_dim, (sigma, sigma))
 
 
 def learning_comparison(config):

@@ -29,7 +29,7 @@ blocks by name, so several factors may share one block (tied weights).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -112,7 +112,11 @@ class NodeSpec:
 
 
 class ParamLayout:
-    """Disjoint contiguous slices of one flat parameter vector."""
+    """Disjoint contiguous slices of one flat parameter vector.
+
+    ``packed`` is the tape's layout of the blocks' ``theta:`` inputs, so
+    the flat vector goes to the tape whole (see :func:`_param_gradient`).
+    """
 
     def __init__(self, blocks):
         # blocks: iterable of (name, shape) in registration order
@@ -123,6 +127,8 @@ class ParamLayout:
             self.blocks[name] = (offset, tuple(shape))
             offset += size
         self.size = offset
+        self.packed = tuple((f"theta:{name}", shape)
+                            for name, (_, shape) in self.blocks.items())
 
     def slice_of(self, name):
         offset, shape = self.blocks[name]
@@ -143,9 +149,6 @@ class ParamLayout:
             size = math.prod(shape)
             theta[offset:offset + size] = np.asarray(env[name]).reshape(-1)
         return theta
-
-    def __contains__(self, name):
-        return name in self.blocks
 
     def __iter__(self):
         return iter(self.blocks)
@@ -182,15 +185,8 @@ class FactorGraphModel:
             i for i in self.topo_order if self.nodes[i].kind == DETERMINISTIC
         )
 
-    @property
-    def param_size(self):
-        return self.layout.size
-
     def free_dim(self):
         return sum(self.nodes[i].dim for i in self.free_ids)
-
-    def node(self, node_id):
-        return self.nodes[node_id]
 
 
 def _toposort(nodes):
@@ -262,9 +258,7 @@ def build_model(spec) -> FactorGraphModel:
         nodes.append(_build_node(entry, dims, kinds, registry))
 
     layout = ParamLayout(registry.ordered())
-    model = FactorGraphModel(nodes, layout)
-    _validate_structure(model)
-    return model
+    return FactorGraphModel(nodes, layout)
 
 
 class _BlockRegistry:
@@ -415,19 +409,6 @@ def _build_scale(raw, node_id, registry):
     if scale.ndim != 1:
         raise ShapeError(f"node '{node_id}': scale must be scalar or vector")
     return scale
-
-
-def _validate_structure(model):
-    for node in model.nodes.values():
-        if node.kind == OBSERVED and node.factor.family not in _DENSITY_FAMILIES:
-            raise UnsupportedFamily(
-                f"observed node '{node.id}' needs a density family"
-            )
-        for p in node.parents:
-            if model.nodes[p].kind == OBSERVED:
-                raise ObservedNotLeaf(
-                    f"observed node '{p}' cannot be a parent of '{node.id}'"
-                )
 
 
 # -- compiled joint density ---------------------------------------------------
@@ -691,37 +672,25 @@ def grad_log_joint_latents(model, theta, assignment):
 
 
 def grad_log_joint_params(model, theta, assignment):
-    """Log-joint and its gradient with respect to the flat parameter vector."""
+    """Log-joint and its gradient with respect to the flat parameter vector;
+    a row batch gives per-row values and the gradient summed over rows."""
     theta = _check_theta(model, theta)
     compiled = _compile(model)
     bindings = _bindings(model, compiled, theta, assignment)
-    record = _gradient(compiled, bindings)
-    return record.value, _pack_param_grads(model, record.grads)
+    rows = [bindings[i].shape[0] for i in compiled.value_ids
+            if bindings[i].ndim == 2]
+    return _param_gradient(model, compiled, theta, bindings,
+                           np.ones(max(rows)) if rows else None)
 
 
-def _gradient(compiled, bindings):
-    probe = bindings[compiled.value_ids[0]] if compiled.value_ids else None
-    batched = probe is not None and any(
-        np.ndim(bindings[i]) == 2 for i in compiled.value_ids
-    )
-    if batched:
-        rows = max(
-            bindings[i].shape[0]
-            for i in compiled.value_ids
-            if np.ndim(bindings[i]) == 2
-        )
-        seed = np.ones(rows)
-        return ad.evaluate_with_gradient(compiled.root, bindings, seed_adjoint=seed)
-    return ad.evaluate_with_gradient(compiled.root, bindings)
-
-
-def _pack_param_grads(model, grads):
-    out = np.zeros(model.layout.size)
-    for name in model.layout:
-        g = grads.get(f"theta:{name}")
-        if g is not None:
-            out[model.layout.slice_of(name)] = np.asarray(g).reshape(-1)
-    return out
+def _param_gradient(model, compiled, theta, bindings, seed):
+    """Value of ``compiled.root`` at ``bindings`` and its gradient with
+    respect to the flat parameter vector ``theta``, which goes to the tape
+    packed; ``seed`` weights the rows of a batched root."""
+    record = ad.evaluate_with_gradient(
+        compiled.root, bindings, seed_adjoint=seed, wrt=frozenset(),
+        packed=(model.layout.packed, theta))
+    return record.value, record.packed
 
 
 class LatentPosterior:
@@ -748,7 +717,8 @@ class LatentPosterior:
         self.theta = _check_theta(model, theta)
         self.compiled = _compile(model)
         self.slices, self.dim = coord_slices(model)
-        self._layout = tuple((i, model.nodes[i].dim) for i in model.free_ids)
+        self._layout = tuple((i, (model.nodes[i].dim,))
+                             for i in model.free_ids)
         self.rows = None
 
         env = model.layout.unpack(self.theta)
@@ -899,20 +869,6 @@ def _map_noise(model, key, noise_ids, ids, env, values):
         if np.any(rate <= 0.0):
             raise DomainError(f"node '{node_id}': rate must be positive")
     return dict(zip(ids, out))
-
-
-def recompute_deterministic(model, theta, assignment):
-    """Fill in deterministic node values from their parents.
-
-    Idempotent: supplied deterministic values are replaced by the
-    recomputed ones; all other entries are passed through.
-    """
-    theta = _check_theta(model, theta)
-    ids = model.deterministic_ids
-    root = _program(model, "deterministic", _given, ids)
-    out = dict(assignment)
-    out.update(zip(ids, _run(root, model.layout.unpack(theta), assignment)))
-    return out
 
 
 def ancestral_sample(model, theta, rng, size=None):

@@ -173,15 +173,23 @@ def _adapt(step_sizes, accepted, target_accept):
 
 
 def _check_mix_rho(mix_rho):
-    """Reject a mixture weight on "cp" outside [0, 1], NaN included."""
-    if not (isinstance(mix_rho, numbers.Real) and 0.0 <= mix_rho <= 1.0):
+    """Reject a mixture weight on "cp" outside [0, 1], NaN and bools
+    included."""
+    if not (_is(mix_rho, numbers.Real) and 0.0 <= mix_rho <= 1.0):
         raise ConfigurationError(
             f"mix_rho must be a finite number in [0, 1], got {mix_rho!r}")
 
 
 def run_chains(model, theta, data, config, parameterization="cp", plan=None,
                mix_rho=0.5, seeds=None):
-    """Run replicate chains as rows of one batched state.
+    """Run adaptive HMC chains, replicates as rows of one batched state.
+
+    ``parameterization`` picks where updates happen: "cp" uses the model's
+    own latent coordinates, "dncp" the auxiliary coordinates of ``plan``
+    (a full plan is built when none is given), and "mix" the coin-flip
+    combination of both with weight ``mix_rho`` on "cp".  The first
+    ``config.burn_in`` iterations adapt step sizes and are discarded; the
+    next ``config.samples`` points are stored, always in z-coordinates.
 
     ``seeds`` (default: ``(config.seed,)``) gives one independent chain per
     entry; every gradient evaluation covers all rows at once.  Rows draw
@@ -300,17 +308,3 @@ def run_chains(model, theta, data, config, parameterization="cp", plan=None,
         ))
     return results
 
-
-def run_chain(model, theta, data, config, parameterization="cp", plan=None,
-              mix_rho=0.5):
-    """Run one adaptive HMC chain and return its draws and traces.
-
-    ``parameterization`` picks where updates happen: "cp" uses the model's
-    own latent coordinates, "dncp" the auxiliary coordinates of ``plan``
-    (a full plan is built when none is given), and "mix" the coin-flip
-    combination of both with weight ``mix_rho`` on "cp".  The first
-    ``config.burn_in`` iterations adapt step sizes and are discarded; the
-    next ``config.samples`` points are stored, always in z-coordinates.
-    """
-    return run_chains(model, theta, data, config, parameterization, plan,
-                      mix_rho, seeds=(config.seed,))[0]

@@ -155,15 +155,10 @@ def _mmcl_rows(model, theta, x_block, L, rng, want_grad):
     assignment = {i: np.repeat(v, L, axis=0) for i, v in x_block.items()}
     assignment.update(eps)
     bindings = graph._bindings(model, compiled, theta, assignment)
-    wrt = frozenset(f"theta:{name}" for name in model.layout)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if want_grad:
-            record = ad.evaluate_with_gradient(
-                compiled.root, bindings,
-                seed_adjoint=_SoftmaxSeed(b, L), wrt=wrt,
-            )
-            w = record.value
-            grad = graph._pack_param_grads(model, record.grads)
+            w, grad = graph._param_gradient(model, compiled, theta, bindings,
+                                            _SoftmaxSeed(b, L))
         else:
             w, grad = ad.evaluate(compiled.root, bindings), None
         w = np.atleast_1d(w).reshape(b, L)
@@ -358,16 +353,11 @@ def complete_data_gradient(model, theta, data, samples):
     assignment = {i: np.tile(v, (S, 1)) for i, v in data.items()}
     for node_id, sl in slices.items():
         assignment[node_id] = rows[:, sl]
-    bindings = graph._bindings(model, compiled,
-                               np.asarray(theta, dtype=np.float64),
-                               assignment)
-    wrt = frozenset(f"theta:{name}" for name in model.layout)
+    theta = np.asarray(theta, dtype=np.float64)
+    bindings = graph._bindings(model, compiled, theta, assignment)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        record = ad.evaluate_with_gradient(
-            compiled.root, bindings,
-            seed_adjoint=np.full(S * n, 1.0 / (S * n)), wrt=wrt
-        )
-    grad = graph._pack_param_grads(model, record.grads)
+        _, grad = graph._param_gradient(model, compiled, theta, bindings,
+                                        np.full(S * n, 1.0 / (S * n)))
     if not np.all(np.isfinite(grad)):
         raise NonFinite("complete-data gradient is not finite")
     return grad

@@ -4,8 +4,6 @@ multilayer network with a noiseless top layer."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import ShapeError, ZeroScale
 from .graph import build_model, random_params
 
@@ -71,28 +69,31 @@ def build_dbn_model(T, latent_dim, obs_dim, sigma_z, rng,
 
 def build_generative_mlp(dims=(3, 3, 100), obs_dim=784,
                          sigmas=(1.0, 1.0, 0.0)):
-    """Three stochastic-or-deterministic latent layers over a Bernoulli leaf.
+    """Stochastic-or-deterministic latent layers over a Bernoulli leaf.
 
-    z1 ~ N(0, sigmas[0]^2 I); z2, z3 follow tanh-affine Gaussians; the leaf
-    is Bernoulli with logits W_x z3 + b_x.  A zero entry in ``sigmas`` makes
-    that layer conditionally deterministic (the default gives the wide top
-    layer zero noise, so only the two narrow layers are sampled).
+    One layer per entry of ``dims``: z1 ~ N(0, sigmas[0]^2 I); each later
+    z_k follows a tanh-affine Gaussian of z_{k-1}; the leaf x is Bernoulli
+    with logits W_x z_K + b_x on the last layer z_K.  A zero entry in
+    ``sigmas`` makes that layer conditionally deterministic (the default
+    gives the wide top layer zero noise, so only the two narrow layers are
+    sampled).
     """
-    if len(dims) != 3 or len(sigmas) != 3:
-        raise ShapeError("dims and sigmas must each have three entries")
+    if not dims or len(dims) != len(sigmas):
+        raise ShapeError("dims and sigmas must be non-empty and of one length")
     if sigmas[0] <= 0.0:
         raise ZeroScale("the root layer needs positive scale")
     nodes = [{"id": "z1", "dim": int(dims[0]), "family": "gaussian",
               "scale": float(sigmas[0])}]
-    for i in (1, 2):
+    for i in range(1, len(dims)):
         nodes.append({
             "id": f"z{i + 1}", "dim": int(dims[i]), "family": "gaussian",
             "parents": [f"z{i}"],
             "link": {"activation": "tanh",
                      "weights": {f"z{i}": "param"}, "bias": "param"},
             "scale": float(sigmas[i])})
+    top = f"z{len(dims)}"
     nodes.append({
         "id": "x", "kind": "observed", "dim": int(obs_dim),
-        "family": "bernoulli", "parents": ["z3"],
-        "link": {"weights": {"z3": "param"}, "bias": "param"}})
+        "family": "bernoulli", "parents": [top],
+        "link": {"weights": {top: "param"}, "bias": "param"}})
     return build_model({"nodes": nodes})

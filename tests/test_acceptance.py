@@ -35,7 +35,7 @@ from ncbayes.graph import (
     log_joint,
     random_params,
 )
-from ncbayes.hmc import HmcConfig, run_chain
+from ncbayes.hmc import HmcConfig, run_chains
 from ncbayes.learning import mmcl_estimate, mmcl_gradient
 from ncbayes.modelzoo import (
     build_dbn_model,
@@ -43,6 +43,7 @@ from ncbayes.modelzoo import (
     build_lds_model,
 )
 from ncbayes.reparam import apply_plan, full_dncp_plan, z_from_eps
+from test_experiments import assert_default_bytes
 from test_hmc import leapfrog
 
 
@@ -269,7 +270,7 @@ class TestChainCorrectness:
         model, data, mean, cov = lds_posterior()
         config = HmcConfig(step_size=0.4, burn_in=1000, samples=20_000,
                            seed=3)
-        result = run_chain(model, np.zeros(0), data, config)
+        result = run_chains(model, np.zeros(0), data, config)[0]
         draws = result.draws
         report = ess_report(draws)
         ess = report.per_coordinate_ess
@@ -311,17 +312,25 @@ class TestChainCorrectness:
 
 
 @pytest.fixture(scope="module")
-def ess_grid(tmp_path_factory):
+def ess_grid_paths(tmp_path_factory):
+    """The output paths of the default ``dbn-ess`` run at seed 0."""
     out = tmp_path_factory.mktemp("essgrid")
-    config = ExperimentConfig("dbn-ess", out_dir=str(out), seed=0)
-    paths = run_experiment(config)
-    summary = json.load(open(paths["summary.json"]))
+    return run_experiment(ExperimentConfig("dbn-ess", out_dir=str(out),
+                                           seed=0))
+
+
+@pytest.fixture(scope="module")
+def ess_grid(ess_grid_paths):
+    summary = json.load(open(ess_grid_paths["summary.json"]))
     cells = {int(c["log_sigma_z"]): c for c in summary["cells"]}
     return cells, summary
 
 
 @pytest.mark.slow
 class TestParameterizationEssContrast:
+    def test_default_run_keeps_its_bytes(self, ess_grid_paths):
+        assert_default_bytes("dbn-ess", ess_grid_paths)
+
     def test_ess_ratios_across_the_grid(self, ess_grid):
         cells, _ = ess_grid
         low, high = cells[-5], cells[-1]
@@ -407,6 +416,7 @@ class TestLearningRecovery:
         config = ExperimentConfig("mmcl-vs-mcem", out_dir=str(tmp_path),
                                   seed=0)
         paths = run_experiment(config)
+        assert_default_bytes("mmcl-vs-mcem", paths)
         summary = json.load(open(paths["summary.json"]))
         assert summary["n_train"] == 1000
         for method in ("mmcl", "mcem"):

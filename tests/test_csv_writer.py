@@ -259,10 +259,10 @@ class TestCliOutputsMatchOracle:
         draw = graph.ancestral_sample(model, np.zeros(0),
                                       np.random.default_rng(cfg.seed + 12))
         data = {"x1": draw["x1"], "x2": draw["x2"]}
-        result = hmc.run_chain(
+        result = hmc.run_chains(
             model, np.zeros(0), data,
             dataclasses.replace(cfg.sampler, seed=cfg.seed),
-            parameterization=cfg.parameterization, mix_rho=cfg.mix_rho)
+            parameterization=cfg.parameterization, mix_rho=cfg.mix_rho)[0]
         rows = [(idx, *result.draws[idx])
                 for idx in range(len(result.draws))]
         expected = oracle_csv(("draw", "z1_0", "z2_0"), rows)

@@ -31,6 +31,35 @@ def file_hashes(paths):
             for k, v in paths.items()}
 
 
+# sha256 of results.csv, summary.json and manifest.json written by each
+# experiment at its default config and seed 0
+DEFAULT_SHA256 = {
+    "correlation-scan": (
+        "b963125aa29ae043dd92630bb7341b21ea4a806b6eddb1f17a1584c22d0427a1",
+        "f4ea33ae5e27963f84ea066afe45bff1911a27b117f06066e0a33012d0b49f51",
+        "7eb0000c5680deccf010f7f10d7419f591c3958ce524de40c5cb0d90ded6582b"),
+    "lds": (
+        "74a3f373b914f2f74b266bd4cb090704af707b6c120ddb9798d0b09ed7ccec08",
+        "c1f8b85e3c078d74fb89548ee4b0da2b66288c96b97a3a6e5d013783aa1ef4a9",
+        "251fd0ddc3573a8bc645c8a619b6257e4ff95c0c545a83e3c9b2e04c0be3e640"),
+    "dbn-ess": (
+        "86ce1fccaf9179ff9cd4d6d7a41136cdbc2cacac089177e21d2c5be1e4f38448",
+        "b35fbd000687e105007d03b7dd16e1e33d6529e3ddf466932ecd9234ae315269",
+        "e54dd406bf08895f5c760bada9c29c9834319ca1218619d461bd10bd3f6bc069"),
+    "mmcl-vs-mcem": (
+        "77e8dbaa5a9be7feb6ee8662ffa3552457af694e3b1f6a37099c3a44bcf63af2",
+        "5155aa302a24ede3066963c7f72039e53912f44303be5b7ea244d8311a11e505",
+        "b6c7b8442cf1ac7896f05cdbd0632e6e8d5f3901fbdc7db8631690be1cab70f4"),
+}
+
+
+def assert_default_bytes(experiment, paths):
+    """The outputs of a default-config, seed-0 run keep their bytes."""
+    got = tuple(hashlib.sha256(Path(paths[name]).read_bytes()).hexdigest()
+                for name in ("results.csv", "summary.json", "manifest.json"))
+    assert got == DEFAULT_SHA256[experiment]
+
+
 class TestConfig:
     def test_unknown_experiment(self):
         with pytest.raises(ConfigurationError):
@@ -77,6 +106,11 @@ class TestCorrelationScan:
         second = file_hashes(run_experiment(cfg))
         assert first == second
 
+    def test_default_run_keeps_its_bytes(self, tmp_path):
+        cfg = ExperimentConfig("correlation-scan", out_dir=str(tmp_path),
+                               seed=0)
+        assert_default_bytes("correlation-scan", run_experiment(cfg))
+
     def test_crlf_line_endings(self, tmp_path):
         cfg = ExperimentConfig("correlation-scan", out_dir=str(tmp_path),
                                n_points=3)
@@ -109,6 +143,10 @@ class TestLdsGrids:
         summary = json.load(open(paths["summary.json"]))
         for cell in summary["cells"]:
             assert cell["prefer_dncp"] == (cell["sigma_z"] < cfg.sigma_x)
+
+    def test_default_run_keeps_its_bytes(self, tmp_path):
+        cfg = ExperimentConfig("lds", out_dir=str(tmp_path), seed=0)
+        assert_default_bytes("lds", run_experiment(cfg))
 
     def test_rho_column_constant_within_block(self, tmp_path):
         cfg = ExperimentConfig("lds", out_dir=str(tmp_path),

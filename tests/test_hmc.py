@@ -13,6 +13,7 @@ from ncbayes.errors import (
     StepUnderflow,
     UnboundInput,
 )
+from ncbayes.experiments import ExperimentConfig
 from ncbayes.graph import build_model, pack_coords, unpack_coords
 from ncbayes.hmc import (
     HmcConfig,
@@ -20,7 +21,6 @@ from ncbayes.hmc import (
     _adapt,
     _integrate,
     _transition,
-    run_chain,
     run_chains,
 )
 from ncbayes.modelzoo import build_dbn_model, build_lds_model
@@ -240,7 +240,7 @@ class TestAdaptation:
     def test_frozen_after_burn_in(self):
         model, theta, data, _, _ = lds_problem()
         cfg = HmcConfig(step_size=0.3, burn_in=50, samples=60, seed=1)
-        r = run_chain(model, theta, data, cfg)
+        r = run_chains(model, theta, data, cfg)[0]
         frozen = r.step_trace[cfg.burn_in:]
         assert np.all(frozen == r.final_step_sizes["cp"])
         assert r.step_trace[cfg.burn_in - 1] != r.final_step_sizes["cp"]
@@ -339,7 +339,7 @@ class TestRunChain:
     def test_row_count_matches_samples(self):
         model, theta, data, _, _ = lds_problem()
         cfg = HmcConfig(step_size=0.2, burn_in=40, samples=37, seed=1)
-        r = run_chain(model, theta, data, cfg)
+        r = run_chains(model, theta, data, cfg)[0]
         assert r.draws.shape == (37, 2)
         assert r.accept_trace.shape == (77,)
         assert r.step_trace.shape == (77,)
@@ -349,14 +349,14 @@ class TestRunChain:
         model, theta, data, _, _ = lds_problem()
         cfg = HmcConfig(step_size=0.2)
         with pytest.raises(ConfigurationError):
-            run_chain(model, theta, data, cfg, parameterization="gibbs")
+            run_chains(model, theta, data, cfg, parameterization="gibbs")
 
     def test_moments_match_analytic_posterior(self):
         model, theta, data, mean, cov = lds_problem()
         cfg = HmcConfig(step_size=0.3, burn_in=500, samples=6000, seed=3)
         sd = np.sqrt(np.diag(cov))
         for par in ("cp", "dncp", "mix"):
-            r = run_chain(model, theta, data, cfg, parameterization=par)
+            r = run_chains(model, theta, data, cfg, parameterization=par)[0]
             for j in range(2):
                 x = r.draws[:, j]
                 ess = diagnostics.effective_sample_size(x)
@@ -368,7 +368,7 @@ class TestRunChain:
     def test_draws_match_exact_posterior_by_ks(self):
         model, theta, data, mean, cov = lds_problem()
         cfg = HmcConfig(step_size=0.3, burn_in=500, samples=6000, seed=9)
-        r = run_chain(model, theta, data, cfg)
+        r = run_chains(model, theta, data, cfg)[0]
         x = r.draws[:, 0]
         stride = max(1, int(np.ceil(len(x) / diagnostics.effective_sample_size(x))))
         thinned = x[::stride]
@@ -383,7 +383,7 @@ class TestRunChain:
         cfg = HmcConfig(step_size=0.2, burn_in=10, samples=10, seed=0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFinite):
-                run_chain(model, theta, data, cfg)
+                run_chains(model, theta, data, cfg)
 
 
 class TestMixture:
@@ -391,15 +391,15 @@ class TestMixture:
         model, theta, data, _, _ = lds_problem()
         cfg = HmcConfig(step_size=0.3, burn_in=150, samples=400, seed=7)
         for par, rho in (("cp", 1.0), ("dncp", 0.0)):
-            pure = run_chain(model, theta, data, cfg, parameterization=par)
-            mix = run_chain(model, theta, data, cfg, parameterization="mix",
-                            mix_rho=rho)
+            pure = run_chains(model, theta, data, cfg, parameterization=par)[0]
+            mix = run_chains(model, theta, data, cfg, parameterization="mix",
+                             mix_rho=rho)[0]
             assert np.array_equal(pure.draws, mix.draws)
             assert np.array_equal(pure.accept_trace, mix.accept_trace)
             assert np.all(mix.system_trace == par)
 
     @pytest.mark.parametrize("rho", [np.nan, 1.5, -0.1, np.inf, "0.5",
-                                     None])
+                                     None, True, False])
     def test_mix_rho_outside_unit_interval_rejected(self, rho):
         model, theta, data, _, _ = lds_problem()
         cfg = HmcConfig(step_size=0.3, burn_in=5, samples=5)
@@ -408,14 +408,20 @@ class TestMixture:
                 run_chains(model, theta, data, cfg, parameterization=par,
                            mix_rho=rho)
 
+    @pytest.mark.parametrize("rho", [True, False])
+    def test_bool_mix_rho_rejected_by_experiment_config(self, rho):
+        # a bool is no number, as in the sampler's own settings
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig("lds", mix_rho=rho)
+
     def test_stored_draws_survive_coordinate_round_trip(self):
         # every stored draw is in z-coordinates; mapping it to the noise
         # coordinates and back must be the identity to 1e-10
         for model, theta, data in (lds_problem()[:3], dbn_problem()):
             cfg = HmcConfig(step_size=0.15, burn_in=150, samples=250, seed=13)
             plan = full_dncp_plan(model)
-            r = run_chain(model, theta, data, cfg, parameterization="mix",
-                          plan=plan)
+            r = run_chains(model, theta, data, cfg, parameterization="mix",
+                           plan=plan)[0]
             assert {"cp", "dncp"} == set(r.system_trace)
             zvals = unpack_coords(model, r.draws)
             evals = eps_from_z(model, plan, zvals, theta)
@@ -431,7 +437,7 @@ class TestRunChains:
     def test_single_row_equals_run_chain(self):
         model, theta, data, _, _ = lds_problem()
         cfg = HmcConfig(step_size=0.2, burn_in=100, samples=200, seed=21)
-        a = run_chain(model, theta, data, cfg, parameterization="mix")
+        a = run_chains(model, theta, data, cfg, parameterization="mix")[0]
         b = run_chains(model, theta, data, cfg, parameterization="mix",
                        seeds=(21,))[0]
         assert np.array_equal(a.draws, b.draws)
@@ -440,10 +446,10 @@ class TestRunChains:
         model, theta, data, _, _ = lds_problem()
         cfg = HmcConfig(step_size=0.2, burn_in=100, samples=200, seed=0)
         rows = run_chains(model, theta, data, cfg, seeds=(3, 4, 5))
-        singles = [run_chain(
+        singles = [run_chains(
             model, theta, data,
             HmcConfig(step_size=0.2, burn_in=100, samples=200, seed=s),
-        ) for s in (3, 4, 5)]
+        )[0] for s in (3, 4, 5)]
         for row, single in zip(rows, singles):
             assert np.array_equal(row.draws, single.draws)
         assert not np.array_equal(rows[0].draws, rows[1].draws)
@@ -462,7 +468,7 @@ class TestRunChains:
     def test_mix_rows_share_the_system_schedule(self):
         model, theta, data, _, _ = lds_problem()
         cfg = HmcConfig(step_size=0.2, burn_in=80, samples=120, seed=0)
-        single = run_chain(model, theta, data, cfg, parameterization="mix")
+        single = run_chains(model, theta, data, cfg, parameterization="mix")[0]
         rows = run_chains(model, theta, data, cfg, parameterization="mix",
                           seeds=(0, 8, 9))
         assert np.array_equal(single.draws, rows[0].draws)
@@ -483,6 +489,6 @@ class TestAcceptanceBand:
                                          sigma_z=0.5, seed=4)
         cfg = HmcConfig(step_size=0.05, burn_in=400, samples=400, seed=2)
         for par in ("cp", "dncp", "mix"):
-            r = run_chain(model, theta, data, cfg, parameterization=par)
+            r = run_chains(model, theta, data, cfg, parameterization=par)[0]
             rate = r.accept_trace[cfg.burn_in:].mean()
             assert 0.8 <= rate <= 0.97, (par, rate)

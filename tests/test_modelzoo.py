@@ -5,6 +5,7 @@ import pytest
 
 from ncbayes import modelzoo, reparam
 from ncbayes.errors import ShapeError, ZeroScale
+from ncbayes.experiments import two_layer_model
 
 
 class TestLds:
@@ -89,3 +90,24 @@ class TestGenerativeMlp:
             modelzoo.build_generative_mlp(dims=(3, 3), obs_dim=8)
         with pytest.raises(ZeroScale):
             modelzoo.build_generative_mlp(obs_dim=8, sigmas=(0.0, 1.0, 1.0))
+        with pytest.raises(ShapeError):
+            modelzoo.build_generative_mlp(dims=(), obs_dim=8, sigmas=())
+
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    def test_any_number_of_layers(self, depth):
+        model = modelzoo.build_generative_mlp(
+            dims=(2,) * depth, obs_dim=3, sigmas=(1.0,) * depth)
+        assert model.free_ids == tuple(f"z{k}" for k in range(1, depth + 1))
+        assert model.nodes["x"].parents == (f"z{depth}",)
+        assert list(model.layout)[-2:] == [f"x.W.z{depth}", "x.b"]
+
+    def test_two_layer_model_is_the_two_layer_mlp(self):
+        model = two_layer_model((2, 3), 7)
+        assert list(model.topo_order) == ["z1", "z2", "x"]
+        assert {i: (n.kind, n.parents, n.dim)
+                for i, n in model.nodes.items()} == {
+            "z1": ("latent", (), 2), "z2": ("latent", ("z1",), 3),
+            "x": ("observed", ("z2",), 7)}
+        assert model.layout.blocks == {
+            "z2.W.z1": (0, (3, 2)), "z2.b": (6, (3,)),
+            "x.W.z2": (9, (7, 3)), "x.b": (30, (7,))}

@@ -255,7 +255,7 @@ def test_dbn_groups_are_views_of_q_in_both_systems():
 def test_free_node_the_root_does_not_reach_gets_zeros():
     z = ad.inp("z")
     root = ad.total(ad.square(z))
-    layout = (("u", 2), ("z", 3), ("w", 1))
+    layout = (("u", (2,)), ("z", (3,)), ("w", (1,)))
     q = np.arange(12.0).reshape(2, 6)
     record = ad.evaluate_with_gradient(root, {}, seed_adjoint=np.ones(2),
                                        packed=(layout, q))
@@ -272,18 +272,73 @@ def test_packed_input_read_by_several_nodes_sums_like_the_unpacked_program():
     unpacked = ad.evaluate_with_gradient(root, {"z": q},
                                          seed_adjoint=np.ones(3))
     packed = ad.evaluate_with_gradient(root, {}, seed_adjoint=np.ones(3),
-                                       packed=((("z", 2),), q))
+                                       packed=((("z", (2,)),), q))
     np.testing.assert_array_equal(packed.value, unpacked.value)
     np.testing.assert_array_equal(packed.packed, unpacked.grads["z"])
+
+
+def _blocks_of(layout, values):
+    """Bindings of each layout name to its block of ``values``, reshaped."""
+    out, lo = {}, 0
+    for name, shape in layout:
+        size = int(np.prod(shape))
+        out[name] = values[..., lo:lo + size].reshape(values.shape[:-1]
+                                                      + shape)
+        lo += size
+    return out
+
+
+def test_two_axis_block_is_a_reshaped_view_with_a_flat_adjoint():
+    w, x = ad.inp("w"), ad.inp("x")
+    root = ad.total(ad.tanh(ad.affine(w, x, ad.inp("b")))) \
+        + ad.total(ad.total(ad.square(w)))
+    layout = (("b", (2,)), ("w", (2, 3)))
+    rng = np.random.default_rng(8)
+    theta, xv = rng.standard_normal(8), rng.standard_normal((4, 3))
+    blocks = _blocks_of(layout, theta)
+    np.testing.assert_array_equal(blocks["w"], theta[2:].reshape(2, 3))
+    packed = ad.evaluate_with_gradient(root, {"x": xv},
+                                       seed_adjoint=np.ones(4),
+                                       wrt=frozenset(), packed=(layout, theta))
+    unpacked = ad.evaluate_with_gradient(root, {"x": xv, **blocks},
+                                         seed_adjoint=np.ones(4),
+                                         wrt=frozenset({"b", "w"}))
+    np.testing.assert_array_equal(packed.value, unpacked.value)
+    np.testing.assert_array_equal(packed.packed, np.concatenate(
+        [unpacked.grads["b"], unpacked.grads["w"].reshape(-1)]))
+    assert packed.grads == {}
+
+
+def test_only_one_axis_blocks_form_a_packed_stack():
+    """A stack of 2-D blocks lying end to end is built operand by operand:
+    one reshaped view of their columns would put rows where the stack
+    axis goes, which the asymmetric weights below would show."""
+    a, b, u, v = (ad.inp(n) for n in "abuv")
+    weights = np.arange(12.0).reshape(2, 2, 3)
+    root = (ad.total(ad.total(ad.total(ad.square(ad.stack(a, b)) * weights)))
+            + ad.total(ad.total(ad.stack(u, v) * weights[0])))
+    layout = (("a", (2, 3)), ("b", (2, 3)), ("u", (3,)), ("v", (3,)))
+    values = np.random.default_rng(9).standard_normal((5, 18))
+    blocks = _blocks_of(layout, values)
+    packed = ad.evaluate_with_gradient(root, {}, seed_adjoint=np.ones(5),
+                                       packed=(layout, values))
+    unpacked = ad.evaluate_with_gradient(root, blocks,
+                                         seed_adjoint=np.ones(5))
+    np.testing.assert_array_equal(packed.value, unpacked.value)
+    np.testing.assert_array_equal(packed.packed, np.concatenate(
+        [unpacked.grads[n].reshape(5, -1) for n in "abuv"], axis=-1))
+    names = {n for fn in root._programs.functions.values()
+             for n in fn.__code__.co_names}
+    assert "empty" in names  # the 2-D blocks, operand by operand
 
 
 def test_packed_values_must_hold_the_layout():
     root = ad.total(ad.inp("z"))
     with pytest.raises(ValueError):
-        ad.evaluate_with_gradient(root, {}, packed=((("z", 2),),
+        ad.evaluate_with_gradient(root, {}, packed=((("z", (2,)),),
                                                     np.zeros(3)))
     with pytest.raises(ValueError):
-        ad.evaluate_with_gradient(root, {}, packed=((("z", 2), ("z", 1)),
+        ad.evaluate_with_gradient(root, {}, packed=((("z", (2,)), ("z", (1,))),
                                                     np.zeros(3)))
 
 
