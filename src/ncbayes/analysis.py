@@ -21,7 +21,6 @@ gradient, which doubles as an independent check on the closed forms.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,6 @@ from . import autodiff as ad
 from .errors import (
     DomainError,
     NonFinite,
-    NotNegativeDefinite,
     NumericError,
     SignError,
     ZeroScale,
@@ -69,22 +67,6 @@ class LocalFactorSummary:
             raise SignError("alpha and beta must be negative")
 
 
-def cp_local_hessian(s: LocalFactorSummary) -> np.ndarray:
-    """2x2 Hessian of the local log-joint in (y, z) coordinates."""
-    return np.array([
-        [s.alpha - s.w ** 2 / s.sigma ** 2, s.w / s.sigma ** 2],
-        [s.w / s.sigma ** 2, s.beta - 1.0 / s.sigma ** 2],
-    ])
-
-
-def dncp_local_hessian(s: LocalFactorSummary) -> np.ndarray:
-    """2x2 Hessian of the local log-joint in (y, eps) coordinates."""
-    return np.array([
-        [s.alpha + s.w ** 2 * s.beta, s.sigma * s.w * s.beta],
-        [s.sigma * s.w * s.beta, s.sigma ** 2 * s.beta - 1.0],
-    ])
-
-
 def cp_squared_correlation(s: LocalFactorSummary) -> float:
     """Squared posterior correlation of (y, z) under the centered form."""
     den = (s.alpha - s.w ** 2 / s.sigma ** 2) * (s.beta - 1.0 / s.sigma ** 2)
@@ -114,28 +96,6 @@ def prefer_dncp(sigma, beta) -> bool:
     if beta >= 0.0:
         raise SignError("beta must be negative")
     return sigma ** -2 > -beta
-
-
-def squared_correlation_from_hessian(H, i, j) -> float:
-    """Squared correlation of coordinates i, j of a Gaussian with Hessian H.
-
-    Uses only the 2x2 principal submatrix on {i, j}; requires it to be
-    negative definite.  The boundary case H_ij^2 == H_ii H_jj (perfect
-    correlation) returns 1.0 with a warning.
-    """
-    H = np.asarray(H, dtype=np.float64)
-    hii, hjj = H[i, i], H[j, j]
-    hij = 0.5 * (H[i, j] + H[j, i])
-    if hii >= 0.0 or hjj >= 0.0:
-        raise NotNegativeDefinite("diagonal entries must be negative")
-    rho_sq = (hij * hij) / (hii * hjj)
-    if rho_sq > 1.0 + _RHO_SLACK:
-        raise NotNegativeDefinite("principal 2x2 submatrix is indefinite")
-    if rho_sq >= 1.0 - _RHO_SLACK:
-        warnings.warn("perfect correlation: submatrix is singular",
-                      RuntimeWarning, stacklevel=2)
-        return min(rho_sq, 1.0)
-    return rho_sq
 
 
 def correlation_limits(s: LocalFactorSummary, which) -> tuple:

@@ -31,6 +31,34 @@ unpacked program's order, and as ``0.0 + x == x`` both programs give the
 same bits -- save that a coordinate whose every contribution is ``-0.0``
 reads ``+0.0``.
 
+Bound programs
+--------------
+:func:`bind` takes every input outside the layout, the packed values'
+shape and the seed once, and returns a :class:`Bound` program that a
+call of :func:`evaluate_with_gradient` runs on the packed values alone.
+The program is one generated source in two functions: a prologue run
+once per bind, and a body whose defaults are the prologue's values, so
+a call converts, keys and checks nothing.  The unbound programs come
+from the same writer with nothing bound.  What folds:
+
+* every node whose inputs are all bound or constant runs in the
+  prologue (the same numpy expression on the same arrays: the same
+  bits), and so does the ``.T`` of a fixed ``affine`` weight;
+* a seed of ones: ``1.0 * x == x``, so the products of a reduction's
+  spread adjoint with its operand's partial drop out, as do the sums'
+  ``[..., None]`` and ``.repeat``.  Any other seed is bound as it is;
+* a pure negation ``-x`` of an adjoint is kept until it is added and
+  then subtracted, as ``a + (-b) == a - b``.
+
+A bound call must bring the seed it was bound with (checked by identity)
+and values of the bound shape.  Packed inputs each scaled by a constant
+(``mul``), with their columns end to end, form a run: the program
+multiplies the run's columns once and reads each value as a view, and
+copies their adjoints into one buffer added to the gradient by one
+``grad[...] += G * k``.  A run is formed only where no other node reads
+those inputs between its first and its last member, so every coordinate
+still takes its adds in the unpacked program's order.
+
 Shape conventions
 -----------------
 Values are scalars, vectors of shape ``(d,)``, or row batches of shape
@@ -51,6 +79,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from types import FunctionType
 
 import numpy as np
 from scipy.special import expit
@@ -231,7 +260,8 @@ def _topological_order(root: Expr):
 class _Programs:
     """Per-root cache: topological order, input names, the names bound
     apart from each packed layout, and the generated functions, keyed by
-    (input shapes, ``wrt``, gradient or forward-only, layout)."""
+    (input shapes, ``wrt``, gradient or forward-only, layout, seed mode
+    of a bound program)."""
 
     __slots__ = ("order", "names", "unpacked", "functions")
 
@@ -272,10 +302,18 @@ class _Writer:
     shape) in the argument ``flat``.  ``stacked[i]`` holds the column
     offsets of a stack read from ``flat`` at once and ``read`` the nodes
     that read a packed input as a view of its own.  Their adjoints are
-    added into the zeroed flat gradient ``grad`` by :meth:`contribute`.
+    added into the zeroed flat gradient ``grad`` by :meth:`contribute`;
+    ``scaled`` holds the members of runs of scaled inputs.
+
+    ``fixed[i]`` says whether node ``i`` depends only on constants and the
+    ``fixed`` input names: its code goes to the ``prologue``, the rest to
+    the ``body``.  ``seed`` is None (the seed is an argument), "unit" or
+    "bound"; ``pending`` holds adjoints not yet written (ones or a
+    negation, see :meth:`add_to`).
     """
 
-    def __init__(self, order, names, shapes, layout=None):
+    def __init__(self, order, names, shapes, layout=None, fixed=(),
+                 seed=None):
         self.order = order
         self.index = {id(node): i for i, node in enumerate(order)}
         self.kids = [[self.index[id(c)] for c in node.children]
@@ -299,18 +337,27 @@ class _Writer:
         for name, (lo, shape) in self.packed.items():
             self.bound[name] = flat[:-1] + shape
         self.uses = Counter(node.name for node in order if node.op == "input")
+        self.fixed, self.seed = [], seed
+        for i, node in enumerate(order):  # the root, last, is never folded
+            self.fixed.append(
+                node.name in fixed if node.op == "input" else
+                node.op == "constant" or (i < len(order) - 1 and all(
+                    self.fixed[j] for j in self.kids[i])))
         self.stacked = {i: self._stacked(node) for i, node in enumerate(order)
                         if node.op == "stack"}
+        self.scaled = self._scaled_runs()
         self.read, self.views = {len(order) - 1}, set()
         for i, kids in enumerate(self.kids):
-            if self.stacked.get(i) is None:
+            if self.stacked.get(i) is None and i not in self.scaled:
                 self.read.update(kids)
         self.namespace = {"np": np, "expit": expit, "_seed": _seed,
                           "SIGMA_FLOOR": SIGMA_FLOOR,
                           "HALF_LOG_2PI": _HALF_LOG_2PI}
-        self.lines = []
+        self.prologue = []
+        self.lines = self.body = []
         self.var, self.shape = [], []
         self.live = self.started = None
+        self.pending = {}
 
     def _direct(self, node):
         """A packed input read through one node: its adjoint contributions
@@ -328,8 +375,41 @@ class _Writer:
             return None
         return [self.packed[c.name][0] for c in node.children]
 
+    def _scaled_runs(self):
+        """Runs of scaled packed inputs: ``mul`` nodes of a constant and a
+        direct packed 1-D input it broadcasts to (no other such node
+        reading it), two or more with their columns end to end and no
+        other reader of those inputs between them, so that their adjoints
+        can go to ``grad`` at once.  Maps each member to (first and last
+        member, run columns, own columns, constant)."""
+        found = {}
+        for i, node in enumerate(self.order):
+            for k, c in enumerate(node.children if node.op == "mul" else ()):
+                p = node.children[1 - k]
+                if c.op == "constant" and self._direct(p):
+                    lo, shape = self.packed[p.name]
+                    if len(shape) == 1 and c.value.shape in ((), (1,), shape):
+                        found.setdefault(lo, []).append(
+                            (lo, lo + shape[0], i, self.kids[i][1 - k], c))
+        runs, scaled = [], {}
+        for member in sorted(m[0] for m in found.values() if len(m) == 1):
+            if runs and runs[-1][-1][1] == member[0]:
+                runs[-1].append(member)
+            else:
+                runs.append([member])
+        for run in runs:
+            members = [m[2] for m in run]
+            first, last = min(members), max(members)
+            if len(run) > 1 and not any(
+                    first < k < last and k not in members and j in kids
+                    for k, kids in enumerate(self.kids) for *_, j, _ in run):
+                for lo, hi, i, _, c in run:
+                    scaled[i] = (first, last, (run[0][0], run[-1][1]),
+                                 (lo, hi), c)
+        return scaled
+
     def emit(self, line):
-        self.lines.append("    " + line)
+        self.lines.append(line)
 
     def emit_sum(self, v, terms):
         """``v = terms[0] + terms[1] + ...`` as a running sum in lines of at
@@ -347,7 +427,10 @@ class _Writer:
     # -- forward ----------------------------------------------------------------
 
     def forward(self):
+        """The values: a fixed node's into the prologue, the rest into the
+        body."""
         for i, node in enumerate(self.order):
+            self.lines = self.prologue if self.fixed[i] else self.body
             ci = self.kids[i]
             var = [self.var[j] for j in ci]
             shp = [self.shape[j] for j in ci]
@@ -369,8 +452,11 @@ class _Writer:
                 self.emit_sum(v, var)
                 shape = np.broadcast_shapes(*shp)
             elif op == "mul":
-                self.emit(f"{v} = {var[0]} * {var[1]}")
                 shape = np.broadcast_shapes(*shp)
+                if i in self.scaled:
+                    self._forward_scaled(i, v)
+                else:
+                    self.emit(f"{v} = {var[0]} * {var[1]}")
             elif op == "affine":
                 (w, x, b), (sw, sx, sb) = var, shp
                 if len(sw) != 2 or not sx:
@@ -380,10 +466,11 @@ class _Writer:
                 if len(sx) == 1:
                     self.emit(f"{v} = {w} @ {x} + {b}")
                 elif len(sx) == 2:
-                    self.emit(f"{v} = {x} @ {w}.T + {b}")
+                    self.emit(f"{v} = {x} @ {self.transposed(ci[0])} + {b}")
                 else:  # one 2-D product, not a stack of tiny ones
-                    self.emit(f"{v} = ({x}.reshape(-1, {sw[1]}) @ {w}.T)"
-                              f".reshape({product}) + {b}")
+                    self.emit(f"{v} = ({x}.reshape(-1, {sw[1]}) @ "
+                              f"{self.transposed(ci[0])}).reshape({product})"
+                              f" + {b}")
                 shape = np.broadcast_shapes(product, sb)
             elif op in _ELEMENTWISE:
                 self.emit(f"{v} = " + _ELEMENTWISE[op].format(x=var[0]))
@@ -420,6 +507,25 @@ class _Writer:
                 raise ValueError(f"unknown op '{op}'")
             self.var.append(v)
             self.shape.append(shape)
+
+    def transposed(self, j):
+        """``.T`` of node j's value, taken once in the prologue if fixed."""
+        w = self.var[j]
+        if self.fixed[j] and f"{w}T = {w}.T" not in self.prologue:
+            self.prologue.append(f"{w}T = {w}.T")
+        return f"{w}T" if self.fixed[j] else f"{w}.T"
+
+    def _forward_scaled(self, i, v):
+        """A scaled input of a run: one product over the run's columns at
+        its first member, each member a view of that."""
+        first, _, (lo, hi), (a, b), _ = self.scaled[i]
+        if i == first:
+            scales = np.concatenate([
+                np.broadcast_to(c.value, (y - x,)) for _, _, _, (x, y), c in
+                sorted(m for m in self.scaled.values() if m[0] == first)])
+            self.emit(f"m{i} = {self.const(i, scales, 'k')} * "
+                      f"flat[..., {lo}:{hi}]")
+        self.emit(f"{v} = m{first}[..., {a - lo}:{b - lo}]")
 
     def _sum_last(self, v, t, shape):
         """``v`` = sum of ``t`` over its trailing axis (a scalar counts as
@@ -458,6 +564,7 @@ class _Writer:
 
     def backward(self, root, wrt):
         order = self.order
+        self.lines = self.body
         self.live = []
         for i, node in enumerate(order):
             if node.op == "input":
@@ -469,24 +576,60 @@ class _Writer:
         if self.flat is not None:
             self.emit(f"grad = np.zeros({self.flat})")
         r = self.index[id(root)]
-        self.emit(f"g{r} = _seed(seed, {self.var[r]}, {self.shape[r]})")
         self.started[r] = True
+        if self.seed == "unit":
+            self.pending[r] = _ONE
+        else:
+            self.emit(f"g{r} = " + ("seed" if self.seed else f"_seed("
+                                    f"seed, {self.var[r]}, {self.shape[r]})"))
         for i in reversed(range(len(order))):
             if (self.live[i] and self.started[i]
                     and order[i].op not in ("input", "constant")):
                 self._backward_node(i, order[i])
 
     def add_to(self, j, expr):
-        """Add ``expr`` to the adjoint of node ``j`` if it needs one."""
+        """Add ``expr`` to the adjoint of node ``j`` if it needs one.  A
+        first adjoint of ones (``_ONE``) or a pure negation ``-x`` stays
+        pending: ones drop out of products, a negation becomes a ``-``."""
         if not self.live[j]:
             return
-        if self._direct(self.order[j]):
-            self.contribute([self.order[j].name], expr, False)
+        neg = expr is not _ONE and _NEGATION.fullmatch(expr)
+        direct = self._direct(self.order[j])
+        if expr is _ONE and (self.started[j] or direct):
+            expr = self.ones(self.shape[j])
+        if direct:
+            self.contribute([self.order[j].name], *(
+                (neg[1], False, "-") if neg else (expr, False)))
         elif self.started[j]:
-            self.emit(f"g{j} = g{j} + ({expr})")
+            g = self.adjoint(j)
+            self.emit(f"{g} = {g} - {neg[1]}" if neg else
+                      f"{g} = {g} + ({expr})")
+        elif expr is _ONE or neg:
+            self.started[j], self.pending[j] = True, expr
         else:
-            self.emit(f"g{j} = {expr}")
             self.started[j] = True
+            self.emit(f"g{j} = {expr}")
+
+    def adjoint(self, j):
+        """The name of node j's adjoint, written out if still pending."""
+        expr = self.pending.pop(j, None)
+        if expr is not None:
+            self.emit(f"g{j} = " + (self.ones(self.shape[j])
+                                    if expr is _ONE else expr))
+        return f"g{j}"
+
+    def ones(self, shape):
+        return self.const("_".join(map(str, shape)), np.ones(shape), "one")
+
+    def _spread(self, i, drop):
+        """``e{i} * `` (node i's adjoint over the summed axis, times), or
+        nothing when that adjoint is ones and ``drop`` says the factor
+        already has the product's shape: ``1.0 * x == x``."""
+        if drop and self.pending.get(i) is _ONE:
+            del self.pending[i]
+            return ""
+        self.emit(f"e{i} = {self.adjoint(i)}[..., None]")
+        return f"e{i} * "
 
     def fold(self, expr, shape, target):
         """``expr`` (of ``shape``) summed back down to ``target`` by the
@@ -510,7 +653,35 @@ class _Writer:
         var = [self.var[j] for j in ci]
         shp = [self.shape[j] for j in ci]
         live = [self.live[j] for j in ci]
-        g, shape, op = f"g{i}", self.shape[i], node.op
+        shape, op = self.shape[i], node.op
+        if op == "gaussianLogPdf":
+            return self._backward_gaussian(i, node, ci, var, shp)
+        if op == "bernoulliLogPmf":
+            (xi, ai), (x, a), (sx, sa) = ci, var, shp
+            ge = shape + (1,)
+            fa, fx = (np.broadcast_shapes(ge, sx, sa),
+                      np.broadcast_shapes(ge, sa))
+            e = self._spread(i, np.broadcast_shapes(sx, sa) == fa and sa == fx)
+            self.add_to(ai, self.fold(f"{e}({x} - expit({a}))", fa, sa))
+            # d/dx of the log-mass is log sig(a) - log sig(-a) = a
+            self.add_to(xi, self.fold(f"{e}{a}", fx, sx))
+            return
+        if self.pending.get(i) is _ONE:  # ones pass through sums and adds
+            if op == "sum" or (op == "add" and set(shp) == {shape}):
+                del self.pending[i]
+                for j in ci:
+                    self.add_to(j, _ONE)
+                return
+        if i in self.scaled:
+            return self._fuse(i)
+        if op == "stack" and self.stacked[i] is not None:
+            names = [c.name for c in node.children]
+            if isinstance(self.pending.get(i), str):
+                self.contribute(names, self.pending.pop(i)[1:], True, "-")
+            else:
+                self.contribute(names, self.adjoint(i), True)
+            return
+        g = self.adjoint(i)
         if op == "add":
             for j, s in zip(ci, shp):
                 self.add_to(j, self.fold(g, shape, s))
@@ -527,7 +698,7 @@ class _Writer:
                 gp = f"p{i}"
             if len(sx) == 1:
                 self.add_to(wi, f"np.outer({gp}, {x})")
-                self.add_to(xi, f"{w}.T @ {gp}")
+                self.add_to(xi, f"{self.transposed(wi)} @ {gp}")
             elif len(sx) == 2:
                 self.add_to(wi, f"{gp}.T @ {x}")
                 self.add_to(xi, f"{gp} @ {w}")
@@ -540,48 +711,34 @@ class _Writer:
         elif op in _ELEMENTWISE:
             adjoint = _ELEMENTWISE_ADJOINT[op]
             self.add_to(ci[0], adjoint.format(g=g, x=var[0], y=self.var[i]))
-        elif op == "gaussianLogPdf":
-            self._backward_gaussian(i, node, ci, var, shp)
-        elif op == "bernoulliLogPmf":
-            (xi, ai), (x, a), (sx, sa) = ci, var, shp
-            self.emit(f"e{i} = {g}[..., None]")
-            ge = shape + (1,)
-            self.add_to(ai, self.fold(f"e{i} * ({x} - expit({a}))",
-                                      np.broadcast_shapes(ge, sx, sa), sa))
-            # d/dx of the log-mass is log sig(a) - log sig(-a) = a
-            self.add_to(xi, self.fold(f"e{i} * {a}",
-                                      np.broadcast_shapes(ge, sa), sx))
         elif op == "sum":
             (sx,) = shp
             self.add_to(ci[0], f"{g}[..., None].repeat({sx[-1]}, axis=-1)"
                         if sx else g)
         elif op == "stack":
-            if self.stacked[i] is not None:
-                self.contribute([c.name for c in node.children], g, True)
-                return
             full = np.broadcast_shapes(*shp)
             for k, (j, s) in enumerate(zip(ci, shp)):
                 self.add_to(j, self.fold(f"{g}[..., {k}, :]", full, s))
 
     def _backward_gaussian(self, i, node, ci, var, shp):
         (xi, mi, si), sigma = ci, var[2]
-        self.emit(f"e{i} = g{i}[..., None]")
         full = np.broadcast_shapes(self.shape[i] + (1,), *shp)
+        e = self._spread(i, np.broadcast_shapes(*shp) == full)
         scale = node.children[2]
         if scale.op == "constant":
             # fixed scale: d/dx = -(x - mu)/s^2 with the clamp folded in
             s = np.maximum(scale.value, SIGMA_FLOOR)
             inv2 = self.const(i, 1.0 / (s * s), "inv2")
-            self.emit(f"q{i} = e{i} * (d{i} * {inv2})")
+            self.emit(f"q{i} = {e}(d{i} * {inv2})")
             self.add_to(xi, self.fold(f"-q{i}", full, shp[0]))
             self.add_to(mi, self.fold(f"q{i}", full, shp[1]))
             return
-        self.add_to(xi, self.fold(f"e{i} * (-r{i} / s{i})", full, shp[0]))
-        self.add_to(mi, self.fold(f"e{i} * (r{i} / s{i})", full, shp[1]))
+        self.add_to(xi, self.fold(f"{e}(-r{i} / s{i})", full, shp[0]))
+        self.add_to(mi, self.fold(f"{e}(r{i} / s{i})", full, shp[1]))
         # clamped scale entries get zero adjoint
         self.add_to(si, self.fold(
-            f"e{i} * np.where({sigma} >= SIGMA_FLOOR, (r{i} * r{i} - 1.0) / s{i}, 0.0)",
-            full, shp[2]))
+            f"{e}np.where({sigma} >= SIGMA_FLOOR, "
+            f"(r{i} * r{i} - 1.0) / s{i}, 0.0)", full, shp[2]))
 
     def adjoint_dict(self):
         """Dict display of each differentiated unpacked input's summed
@@ -593,12 +750,12 @@ class _Writer:
                 parts.setdefault(node.name, []).append(i)
         items = []
         for name, nodes in parts.items():
-            total = f"g{nodes[0]}"
+            total = self.adjoint(nodes[0])
             if not self.shape[nodes[0]]:
                 total = f"np.asarray({total}, dtype=np.float64)"
             if len(nodes) > 1:
                 self.emit_sum(f"g{nodes[0]}",
-                              [total] + [f"g{j}" for j in nodes[1:]])
+                              [total] + [self.adjoint(j) for j in nodes[1:]])
                 total = f"g{nodes[0]}"
             if name in self.packed:
                 self.contribute([name], total, False)
@@ -608,11 +765,12 @@ class _Writer:
 
     # -- the flat gradient of packed inputs ----------------------------------------
 
-    def contribute(self, names, source, stacked):
-        """Add ``source`` into the flat gradient ``grad`` at the packed
-        inputs ``names``: one input, or the operands of a packed stack
-        (``source`` is then the stack's adjoint, ``(..., k, width)``).
-        An input of other than one axis adds its adjoint flattened.
+    def contribute(self, names, source, stacked, sign="+"):
+        """Add (``sign`` "-": subtract) ``source`` into the flat gradient
+        ``grad`` at the packed inputs ``names``: one input, or the operands
+        of a packed stack (``source`` is then the stack's adjoint, ``(...,
+        k, width)``).  An input of other than one axis adds its adjoint
+        flattened.
 
         One ``+=`` per run of operands with no input twice, written where
         the backward pass reaches it, so every coordinate takes its
@@ -640,8 +798,19 @@ class _Writer:
             else:
                 target = self.const(len(self.lines), np.add.outer(
                     cols, np.arange(width)).reshape(-1), "cx")
-            self.emit(f"grad[..., {target}] += {part}")
+            self.emit(f"grad[..., {target}] {sign}= {part}")
             a = b
+
+    def _fuse(self, i):
+        """Copy scaled input i's adjoint into its run's buffer; the run's
+        first member, reached last, adds the buffer times the scales."""
+        first, last, (lo, hi), (a, b), _ = self.scaled[i]
+        g = self.adjoint(i)
+        if i == last:
+            self.emit(f"G{first} = np.empty({self.flat[:-1] + (hi - lo,)})")
+        self.emit(f"G{first}[..., {a - lo}:{b - lo}] = {g}")
+        if i == first:
+            self.emit(f"grad[..., {lo}:{hi}] += G{first} * k_{first}")
 
 
 def _run(cols, width):
@@ -671,19 +840,24 @@ _ELEMENTWISE_ADJOINT = {
 # the writer's temporaries: values, adjoints and per-node intermediates
 _TEMPORARY = re.compile(r"\b[vtdrsqepg]\d+\b")
 
+# an adjoint of ones, and an adjoint that only negates a name
+_ONE = object()
+_NEGATION = re.compile(r"-([a-z]\d+)")
+
 
 def _free_dead(lines):
-    """``lines`` with each temporary deleted after its last use, so a large
-    batch reuses freed buffers instead of holding every intermediate."""
+    """``lines``, indented, with each temporary deleted after its last use
+    (the last line, a ``return``, excepted), so a large batch reuses freed
+    buffers instead of holding every intermediate."""
     names = [dict.fromkeys(_TEMPORARY.findall(line)) for line in lines]
     last = {name: k for k, used in enumerate(names) for name in used}
     out = []
-    for k, line in enumerate(lines[:-1]):
-        out.append(line)
+    for k, line in enumerate(lines):
+        out.append("    " + line)
         dead = [name for name in names[k] if last[name] == k]
-        if dead:
+        if dead and k < len(lines) - 1:
             out.append(f"    del {', '.join(dead)}")
-    return out + lines[-1:]
+    return out
 
 
 # code objects by generated source: roots that differ only in the values
@@ -691,16 +865,24 @@ def _free_dead(lines):
 _CODE = {}
 
 
-def _generate(programs, root, shapes, wrt, gradient, layout):
-    """Source, compiled, of one program for ``root`` at input ``shapes``
-    (the packed values' shape last when there is a ``layout``)."""
-    writer = _Writer(programs.order, programs.names, shapes, layout)
+def _generate(programs, root, shapes, wrt, gradient, layout, seed=None):
+    """One program for ``root`` at input ``shapes`` (the packed values'
+    shape last when there is a ``layout``), compiled with its prologue.
+
+    Unbound (``seed`` None) it is returned ready to run, with the
+    prologue's values as its defaults.  Bound (``seed`` "unit" or
+    "bound"), every input outside the layout is fixed, and the result is
+    the template :func:`bind` gives each evaluator's prologue values."""
+    names = programs.unpacked[layout]
+    writer = _Writer(programs.order, programs.names, shapes, layout,
+                     names if seed else (), seed)
     writer.forward()
     r = writer.index[id(root)]
     value = writer.var[r]
     if writer.shape[r] == ():
         value = f"float({value})"
-    args = [writer.arg[name] for name in programs.unpacked[layout]]
+    head = [writer.arg[name] for name in names]
+    args, head = ([], head + ["seed"]) if seed else (head, [])
     if layout is not None:
         args.append("flat")
     if gradient:
@@ -708,20 +890,36 @@ def _generate(programs, root, shapes, wrt, gradient, layout):
         value = f"{value}, {writer.adjoint_dict()}"
         if layout is not None:
             value += ", grad"
-        args.append("seed")
-    lines = _free_dead(writer.lines + [f"    return {value}"])
-    source = "\n".join([f"def program({', '.join(args)}):", *lines, ""])
+        if not seed:
+            args.append("seed")
+        else:
+            writer.prologue.insert(
+                0, f"seed = _seed(seed, None, {writer.shape[r]})")
+    body = writer.body + [f"return {value}"]
+    used = set(re.findall(r"\w+", "\n".join(body)))
+    fixed = [name for name in dict.fromkeys(
+        head + [line.split(" = ")[0] for line in writer.prologue])
+        if name in used]
+    source = "\n".join([
+        f"def prologue({', '.join(head)}):",
+        *_free_dead(writer.prologue + [
+            "return (" + "".join(f"{n}, " for n in fixed) + ")"]),
+        f"def program({', '.join(args + [f'{n}=None' for n in fixed])}):",
+        *_free_dead(body), ""])
     code = _CODE.get(source)
     if code is None:
         code = _CODE[source] = compile(source, "<ncbayes.autodiff program>",
                                        "exec")
     namespace = writer.namespace
     exec(code, namespace)
-    return namespace["program"]
+    program = namespace["program"]
+    return program if seed else FunctionType(
+        program.__code__, namespace, "program", namespace["prologue"]())
 
 
-def _prepare(root, bindings, wrt, gradient, packed=None):
-    """The program for these bindings' shapes, and its arguments."""
+def _prepare(root, bindings, wrt, gradient, packed=None, seed=None):
+    """The program for these bindings' shapes (a bound template when
+    ``seed`` names a seed mode), and its arguments."""
     programs = root._programs
     if programs is None:
         programs = root._programs = _Programs(root)
@@ -740,12 +938,42 @@ def _prepare(root, bindings, wrt, gradient, packed=None):
     if packed is not None:
         args.append(np.asarray(packed[1], dtype=np.float64))
     shapes = tuple([a.shape for a in args])
-    key = (shapes, wrt, gradient, layout)
+    key = (shapes, wrt, gradient, layout, seed)
     function = programs.functions.get(key)
     if function is None:
         function = programs.functions[key] = _generate(
-            programs, root, shapes, wrt, gradient, layout)
+            programs, root, shapes, wrt, gradient, layout, seed)
     return function, args
+
+
+@dataclass(frozen=True)
+class Bound:
+    """A gradient program with every input but the packed values bound,
+    and its seed (see *Bound programs*); :func:`bind` makes it and
+    :func:`evaluate_with_gradient` runs it."""
+
+    program: object
+    seed: object
+    shape: tuple
+
+
+def bind(root: Expr, bindings: dict, packed, seed_adjoint=None) -> Bound:
+    """Bind ``root``'s gradient program to fixed inputs and a seed.
+
+    ``bindings`` holds every input outside ``packed``, a ``(layout,
+    values)`` pair as in :func:`evaluate_with_gradient` whose values have
+    the shape of every call's.  ``seed_adjoint`` is an array
+    (not a callable) of the root's shape, or None for a scalar root.  The
+    program is cached per root, shapes and seed mode; binding runs only
+    its prologue."""
+    if callable(seed_adjoint):
+        raise ValueError("a bound program needs a seed_adjoint array")
+    unit = seed_adjoint is None or (np.asarray(seed_adjoint) == 1.0).all()
+    template, args = _prepare(root, bindings, frozenset(), True, packed,
+                              "unit" if unit else "bound")
+    values = template.__globals__["prologue"](*args[:-1], seed_adjoint)
+    return Bound(FunctionType(template.__code__, template.__globals__,
+                              "program", values), seed_adjoint, args[-1].shape)
 
 
 @dataclass
@@ -792,6 +1020,10 @@ def evaluate_with_gradient(root: Expr, bindings: dict, seed_adjoint=None,
         as an array of shape ``(..., *shape)``.  These names are not
         looked up in ``bindings`` and are always differentiated.
 
+    A :class:`Bound` ``root`` takes no ``bindings`` or ``wrt``, the seed
+    it was bound with and ``packed`` as the values alone, of the bound
+    shape.
+
     Returns
     -------
     GradientRecord
@@ -804,6 +1036,15 @@ def evaluate_with_gradient(root: Expr, bindings: dict, seed_adjoint=None,
         all ``-0.0`` entry reads ``+0.0``) and names the root does not
         reach stay zero.
     """
+    if isinstance(root, Bound):
+        if seed_adjoint is not root.seed or bindings or wrt is not None:
+            raise ValueError("a bound program takes its packed values and "
+                             "the seed it was bound with, nothing else")
+        values = np.asarray(packed, dtype=np.float64)
+        if values.shape != root.shape:
+            raise ValueError(f"packed values of shape {values.shape} for a "
+                             f"program bound at {root.shape}")
+        return GradientRecord(*root.program(values))
     if root.op == "outputs":
         raise ValueError("a multi-output expression has no gradient")
     function, args = _prepare(root, bindings, wrt, True, packed)

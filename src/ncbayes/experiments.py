@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -120,6 +121,11 @@ class ExperimentConfig:
             raise ConfigurationError("counts must be positive")
         if self.grid_resolution < 2:
             raise ConfigurationError("grid_resolution must be at least 2")
+        dims = self.gen_dims
+        if not (isinstance(dims, (tuple, list)) and len(dims) == 2 and all(
+                hmc._is(d, numbers.Integral) and d > 0 for d in dims)):
+            raise ConfigurationError(
+                f"gen_dims must be two positive integers, got {dims!r}")
         hmc._check_mix_rho(self.mix_rho)
 
 

@@ -697,9 +697,11 @@ class LatentPosterior:
     """Log density of the free coordinates given data, with gradient.
 
     The one evaluator behind the samplers, the Monte Carlo EM E-step and
-    :func:`grad_log_joint_latents`.  Bindings for the parameters and the
-    data are prepared once; each call hands the tape ``q`` whole, packed
-    in :func:`coord_slices` order, and gets one flat gradient back.
+    :func:`grad_log_joint_latents`.  The parameters, the data and a seed
+    of ones are bound once per batch shape (see :func:`.autodiff.bind`),
+    so arrays changed in place after construction are not seen; each
+    call hands that program ``q`` whole, packed in :func:`coord_slices`
+    order, and gets one flat gradient back.
     Accepts a single ``(dim,)`` point or a ``(rows, dim)`` batch.
     Out-of-support and numerically exploded rows come back as ``-inf``
     with zero gradient instead of raising: the sampler treats them as
@@ -719,7 +721,7 @@ class LatentPosterior:
         self.slices, self.dim = coord_slices(model)
         self._layout = tuple((i, (model.nodes[i].dim,))
                              for i in model.free_ids)
-        self.rows = None
+        self.rows, self._bound = None, {}
 
         env = model.layout.unpack(self.theta)
         bindings = {f"theta:{name}": env[name] for name in model.layout}
@@ -786,13 +788,15 @@ class LatentPosterior:
                     q = q.copy()
                 q[..., sl] = np.where(out, 0.5, v)
                 bad = np.logical_or(bad, np.any(out, axis=-1))
-        rows = q.shape[0] if q.ndim == 2 else self.rows
-        seed = None if rows is None else np.ones(rows)
+        bound = self._bound.get(q.shape)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if bound is None:
+                rows = q.shape[0] if q.ndim == 2 else self.rows
+                bound = self._bound[q.shape] = ad.bind(
+                    self.compiled.root, self._bindings, (self._layout, q),
+                    None if rows is None else np.ones(rows))
             record = ad.evaluate_with_gradient(
-                self.compiled.root, self._bindings, seed_adjoint=seed,
-                wrt=frozenset(), packed=(self._layout, q)
-            )
+                bound, None, seed_adjoint=bound.seed, packed=q)
         grad = record.packed
         grad = np.where(np.isfinite(grad), grad, 0.0)
         value = record.value

@@ -17,13 +17,10 @@ from scipy import stats
 from ncbayes.analysis import (
     LocalFactorSummary,
     correlation_limits,
-    cp_local_hessian,
     cp_squared_correlation,
-    dncp_local_hessian,
     dncp_squared_correlation,
     hessian_log_posterior,
     lds_correlations,
-    squared_correlation_from_hessian,
 )
 from ncbayes.diagnostics import effective_sample_size, ess_report
 from ncbayes.experiments import ExperimentConfig, run_experiment
@@ -43,6 +40,11 @@ from ncbayes.modelzoo import (
     build_lds_model,
 )
 from ncbayes.reparam import apply_plan, full_dncp_plan, z_from_eps
+from test_analysis import (
+    cp_local_hessian,
+    dncp_local_hessian,
+    squared_correlation_from_hessian,
+)
 from test_experiments import assert_default_bytes
 from test_hmc import leapfrog
 

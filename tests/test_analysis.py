@@ -1,12 +1,53 @@
 """Squared-correlation formulas, their Hessian oracle, limits, and the
 two-step chain specialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from ncbayes import analysis, graph, modelzoo
 from ncbayes.analysis import LocalFactorSummary
 from ncbayes.errors import NotNegativeDefinite, SignError, ZeroScale
+
+
+# the Hessian oracle of the closed forms
+def cp_local_hessian(s: LocalFactorSummary) -> np.ndarray:
+    """2x2 Hessian of the local log-joint in (y, z) coordinates."""
+    return np.array([
+        [s.alpha - s.w ** 2 / s.sigma ** 2, s.w / s.sigma ** 2],
+        [s.w / s.sigma ** 2, s.beta - 1.0 / s.sigma ** 2],
+    ])
+
+
+def dncp_local_hessian(s: LocalFactorSummary) -> np.ndarray:
+    """2x2 Hessian of the local log-joint in (y, eps) coordinates."""
+    return np.array([
+        [s.alpha + s.w ** 2 * s.beta, s.sigma * s.w * s.beta],
+        [s.sigma * s.w * s.beta, s.sigma ** 2 * s.beta - 1.0],
+    ])
+
+
+def squared_correlation_from_hessian(H, i, j) -> float:
+    """Squared correlation of coordinates i, j of a Gaussian with Hessian H.
+
+    Uses only the 2x2 principal submatrix on {i, j}; requires it to be
+    negative definite.  The boundary case H_ij^2 == H_ii H_jj (perfect
+    correlation) returns 1.0 with a warning.
+    """
+    H = np.asarray(H, dtype=np.float64)
+    hii, hjj = H[i, i], H[j, j]
+    hij = 0.5 * (H[i, j] + H[j, i])
+    if hii >= 0.0 or hjj >= 0.0:
+        raise NotNegativeDefinite("diagonal entries must be negative")
+    rho_sq = (hij * hij) / (hii * hjj)
+    if rho_sq > 1.0 + analysis._RHO_SLACK:
+        raise NotNegativeDefinite("principal 2x2 submatrix is indefinite")
+    if rho_sq >= 1.0 - analysis._RHO_SLACK:
+        warnings.warn("perfect correlation: submatrix is singular",
+                      RuntimeWarning, stacklevel=2)
+        return min(rho_sq, 1.0)
+    return rho_sq
 
 
 def random_summary(rng):
@@ -45,14 +86,14 @@ class TestSquaredCorrelations:
         rng = np.random.default_rng(23)
         for _ in range(1000):
             s = random_summary(rng)
-            h_cp = analysis.cp_local_hessian(s)
-            h_dncp = analysis.dncp_local_hessian(s)
+            h_cp = cp_local_hessian(s)
+            h_dncp = dncp_local_hessian(s)
             assert analysis.cp_squared_correlation(s) == pytest.approx(
-                analysis.squared_correlation_from_hessian(h_cp, 0, 1),
+                squared_correlation_from_hessian(h_cp, 0, 1),
                 rel=1e-10, abs=1e-300,
             )
             assert analysis.dncp_squared_correlation(s) == pytest.approx(
-                analysis.squared_correlation_from_hessian(h_dncp, 0, 1),
+                squared_correlation_from_hessian(h_dncp, 0, 1),
                 rel=1e-10, abs=1e-300,
             )
 
@@ -60,10 +101,10 @@ class TestSquaredCorrelations:
         rng = np.random.default_rng(29)
         for _ in range(200):
             s = random_summary(rng)
-            H = analysis.cp_local_hessian(s)
+            H = cp_local_hessian(s)
             C = -np.linalg.inv(H)
             want = C[0, 1] ** 2 / (C[0, 0] * C[1, 1])
-            got = analysis.squared_correlation_from_hessian(H, 0, 1)
+            got = squared_correlation_from_hessian(H, 0, 1)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
 
     def test_preference_matches_correlation_ordering(self):
@@ -99,34 +140,34 @@ class TestPreferDncp:
 class TestCorrelationFromHessian:
     def test_symmetric_example(self):
         H = np.array([[-2.0, 1.0], [1.0, -2.0]])
-        assert analysis.squared_correlation_from_hessian(H, 0, 1) == pytest.approx(
+        assert squared_correlation_from_hessian(H, 0, 1) == pytest.approx(
             0.25, abs=1e-15
         )
 
     def test_diagonal_gives_zero(self):
         H = np.diag([-3.0, -0.5])
-        assert analysis.squared_correlation_from_hessian(H, 0, 1) == 0.0
+        assert squared_correlation_from_hessian(H, 0, 1) == 0.0
 
     def test_singular_boundary_flagged(self):
         H = np.array([[-1.0, 1.0], [1.0, -1.0]])
         with pytest.warns(RuntimeWarning):
-            rho = analysis.squared_correlation_from_hessian(H, 0, 1)
+            rho = squared_correlation_from_hessian(H, 0, 1)
         assert rho == 1.0
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotNegativeDefinite):
-            analysis.squared_correlation_from_hessian(
+            squared_correlation_from_hessian(
                 np.array([[-1.0, 2.0], [2.0, -1.0]]), 0, 1
             )
         with pytest.raises(NotNegativeDefinite):
-            analysis.squared_correlation_from_hessian(
+            squared_correlation_from_hessian(
                 np.array([[1.0, 0.0], [0.0, -1.0]]), 0, 1
             )
 
     def test_uses_named_pair_of_larger_matrix(self):
         H = np.diag([-1.0, -2.0, -4.0])
         H[1, 2] = H[2, 1] = 1.0
-        assert analysis.squared_correlation_from_hessian(H, 1, 2) == pytest.approx(
+        assert squared_correlation_from_hessian(H, 1, 2) == pytest.approx(
             1.0 / 8.0, abs=1e-15
         )
 

@@ -129,6 +129,17 @@ class TestExitCodes:
         assert "config error" in err and f"key {key} " in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("dims", ["[2, 3, 4]", "[]", "[0, 3]",
+                                      "[2.5, 3]", "[true, 3]"])
+    def test_learn_rejects_bad_gen_dims(self, tmp_path, capsys, dims):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"gen_dims: {dims}\n")
+        assert run(["learn", "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "gen_dims" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, capsys):
         assert run(["analyze", "--config", "/no/such.yaml"]) == 2
         assert "config error" in capsys.readouterr().err

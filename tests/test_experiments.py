@@ -82,6 +82,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             LearningSpec(method="sgd")
 
+    @pytest.mark.parametrize("dims", [(2, 3, 4), (), (0, 3), (2.5, 3),
+                                      (True, 3)])
+    def test_gen_dims_must_be_two_positive_integers(self, dims):
+        with pytest.raises(ConfigurationError, match="gen_dims"):
+            ExperimentConfig("mmcl-vs-mcem", gen_dims=dims)
+
 
 class TestCorrelationScan:
     def test_schema_and_agreement_with_closed_forms(self, tmp_path):
