@@ -33,31 +33,23 @@ reads ``+0.0``.
 
 Bound programs
 --------------
-:func:`bind` takes every input outside the layout, the packed values'
-shape and the seed once, and returns a :class:`Bound` program that a
-call of :func:`evaluate_with_gradient` runs on the packed values alone.
-The program is one generated source in two functions: a prologue run
-once per bind, and a body whose defaults are the prologue's values, so
-a call converts, keys and checks nothing.  The unbound programs come
-from the same writer with nothing bound.  What folds:
+:func:`bind` converts every input outside the layout to an array and
+finds the program for their shapes and the packed values' once, so a
+:class:`Bound` call of :func:`evaluate_with_gradient` on the packed
+values alone converts, keys and checks no bound input.  The seed must
+be ones (None for a scalar root), and the program is written for it:
+``1.0 * x == x``, so the products of a reduction's spread adjoint with
+its operand's partial drop out, as do the sums' ``[..., None]`` and
+``.repeat``.  A call brings the seed it was bound with (checked by
+identity) and values of the bound shape.
 
-* every node whose inputs are all bound or constant runs in the
-  prologue (the same numpy expression on the same arrays: the same
-  bits), and so does the ``.T`` of a fixed ``affine`` weight;
-* a seed of ones: ``1.0 * x == x``, so the products of a reduction's
-  spread adjoint with its operand's partial drop out, as do the sums'
-  ``[..., None]`` and ``.repeat``.  Any other seed is bound as it is;
-* a pure negation ``-x`` of an adjoint is kept until it is added and
-  then subtracted, as ``a + (-b) == a - b``.
-
-A bound call must bring the seed it was bound with (checked by identity)
-and values of the bound shape.  Packed inputs each scaled by a constant
-(``mul``), with their columns end to end, form a run: the program
-multiplies the run's columns once and reads each value as a view, and
-copies their adjoints into one buffer added to the gradient by one
-``grad[...] += G * k``.  A run is formed only where no other node reads
-those inputs between its first and its last member, so every coordinate
-still takes its adds in the unpacked program's order.
+Packed inputs each scaled by a constant (``mul``), with their columns
+end to end, form a run: the program multiplies the run's columns once
+and reads each value as a view, and copies their adjoints into one
+buffer added to the gradient by one ``grad[...] += G * k``.  A run is
+formed only where no other node reads those inputs between its first
+and its last member, so every coordinate still takes its adds in the
+unpacked program's order.
 
 Shape conventions
 -----------------
@@ -75,11 +67,11 @@ each evaluation supplies fresh values for the named ``inp`` leaves.
 
 from __future__ import annotations
 
+import linecache
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from types import FunctionType
 
 import numpy as np
 from scipy.special import expit
@@ -260,8 +252,8 @@ def _topological_order(root: Expr):
 class _Programs:
     """Per-root cache: topological order, input names, the names bound
     apart from each packed layout, and the generated functions, keyed by
-    (input shapes, ``wrt``, gradient or forward-only, layout, seed mode
-    of a bound program)."""
+    (input shapes, ``wrt``, gradient or forward-only, layout, unit
+    seed)."""
 
     __slots__ = ("order", "names", "unpacked", "functions")
 
@@ -305,15 +297,12 @@ class _Writer:
     added into the zeroed flat gradient ``grad`` by :meth:`contribute`;
     ``scaled`` holds the members of runs of scaled inputs.
 
-    ``fixed[i]`` says whether node ``i`` depends only on constants and the
-    ``fixed`` input names: its code goes to the ``prologue``, the rest to
-    the ``body``.  ``seed`` is None (the seed is an argument), "unit" or
-    "bound"; ``pending`` holds adjoints not yet written (ones or a
-    negation, see :meth:`add_to`).
+    With ``unit`` the seed is ones, else the argument ``seed``;
+    ``pending`` holds the nodes whose adjoint is ones not yet written
+    (see :meth:`add_to`).
     """
 
-    def __init__(self, order, names, shapes, layout=None, fixed=(),
-                 seed=None):
+    def __init__(self, order, names, shapes, layout=None, unit=False):
         self.order = order
         self.index = {id(node): i for i, node in enumerate(order)}
         self.kids = [[self.index[id(c)] for c in node.children]
@@ -337,12 +326,7 @@ class _Writer:
         for name, (lo, shape) in self.packed.items():
             self.bound[name] = flat[:-1] + shape
         self.uses = Counter(node.name for node in order if node.op == "input")
-        self.fixed, self.seed = [], seed
-        for i, node in enumerate(order):  # the root, last, is never folded
-            self.fixed.append(
-                node.name in fixed if node.op == "input" else
-                node.op == "constant" or (i < len(order) - 1 and all(
-                    self.fixed[j] for j in self.kids[i])))
+        self.unit = unit
         self.stacked = {i: self._stacked(node) for i, node in enumerate(order)
                         if node.op == "stack"}
         self.scaled = self._scaled_runs()
@@ -353,11 +337,10 @@ class _Writer:
         self.namespace = {"np": np, "expit": expit, "_seed": _seed,
                           "SIGMA_FLOOR": SIGMA_FLOOR,
                           "HALF_LOG_2PI": _HALF_LOG_2PI}
-        self.prologue = []
-        self.lines = self.body = []
+        self.lines = []
         self.var, self.shape = [], []
         self.live = self.started = None
-        self.pending = {}
+        self.pending = set()
 
     def _direct(self, node):
         """A packed input read through one node: its adjoint contributions
@@ -427,10 +410,7 @@ class _Writer:
     # -- forward ----------------------------------------------------------------
 
     def forward(self):
-        """The values: a fixed node's into the prologue, the rest into the
-        body."""
         for i, node in enumerate(self.order):
-            self.lines = self.prologue if self.fixed[i] else self.body
             ci = self.kids[i]
             var = [self.var[j] for j in ci]
             shp = [self.shape[j] for j in ci]
@@ -466,11 +446,10 @@ class _Writer:
                 if len(sx) == 1:
                     self.emit(f"{v} = {w} @ {x} + {b}")
                 elif len(sx) == 2:
-                    self.emit(f"{v} = {x} @ {self.transposed(ci[0])} + {b}")
+                    self.emit(f"{v} = {x} @ {w}.T + {b}")
                 else:  # one 2-D product, not a stack of tiny ones
-                    self.emit(f"{v} = ({x}.reshape(-1, {sw[1]}) @ "
-                              f"{self.transposed(ci[0])}).reshape({product})"
-                              f" + {b}")
+                    self.emit(f"{v} = ({x}.reshape(-1, {sw[1]}) @ {w}.T)"
+                              f".reshape({product}) + {b}")
                 shape = np.broadcast_shapes(product, sb)
             elif op in _ELEMENTWISE:
                 self.emit(f"{v} = " + _ELEMENTWISE[op].format(x=var[0]))
@@ -507,13 +486,6 @@ class _Writer:
                 raise ValueError(f"unknown op '{op}'")
             self.var.append(v)
             self.shape.append(shape)
-
-    def transposed(self, j):
-        """``.T`` of node j's value, taken once in the prologue if fixed."""
-        w = self.var[j]
-        if self.fixed[j] and f"{w}T = {w}.T" not in self.prologue:
-            self.prologue.append(f"{w}T = {w}.T")
-        return f"{w}T" if self.fixed[j] else f"{w}.T"
 
     def _forward_scaled(self, i, v):
         """A scaled input of a run: one product over the run's columns at
@@ -564,7 +536,6 @@ class _Writer:
 
     def backward(self, root, wrt):
         order = self.order
-        self.lines = self.body
         self.live = []
         for i, node in enumerate(order):
             if node.op == "input":
@@ -577,11 +548,10 @@ class _Writer:
             self.emit(f"grad = np.zeros({self.flat})")
         r = self.index[id(root)]
         self.started[r] = True
-        if self.seed == "unit":
-            self.pending[r] = _ONE
+        if self.unit:
+            self.pending.add(r)
         else:
-            self.emit(f"g{r} = " + ("seed" if self.seed else f"_seed("
-                                    f"seed, {self.var[r]}, {self.shape[r]})"))
+            self.emit(f"g{r} = _seed(seed, {self.var[r]}, {self.shape[r]})")
         for i in reversed(range(len(order))):
             if (self.live[i] and self.started[i]
                     and order[i].op not in ("input", "constant")):
@@ -589,33 +559,30 @@ class _Writer:
 
     def add_to(self, j, expr):
         """Add ``expr`` to the adjoint of node ``j`` if it needs one.  A
-        first adjoint of ones (``_ONE``) or a pure negation ``-x`` stays
-        pending: ones drop out of products, a negation becomes a ``-``."""
+        first adjoint of ones (``_ONE``) stays pending, as ones drop out of
+        products."""
         if not self.live[j]:
             return
-        neg = expr is not _ONE and _NEGATION.fullmatch(expr)
         direct = self._direct(self.order[j])
         if expr is _ONE and (self.started[j] or direct):
             expr = self.ones(self.shape[j])
         if direct:
-            self.contribute([self.order[j].name], *(
-                (neg[1], False, "-") if neg else (expr, False)))
+            self.contribute([self.order[j].name], expr, False)
         elif self.started[j]:
             g = self.adjoint(j)
-            self.emit(f"{g} = {g} - {neg[1]}" if neg else
-                      f"{g} = {g} + ({expr})")
-        elif expr is _ONE or neg:
-            self.started[j], self.pending[j] = True, expr
+            self.emit(f"{g} = {g} + ({expr})")
+        elif expr is _ONE:
+            self.started[j] = True
+            self.pending.add(j)
         else:
             self.started[j] = True
             self.emit(f"g{j} = {expr}")
 
     def adjoint(self, j):
         """The name of node j's adjoint, written out if still pending."""
-        expr = self.pending.pop(j, None)
-        if expr is not None:
-            self.emit(f"g{j} = " + (self.ones(self.shape[j])
-                                    if expr is _ONE else expr))
+        if j in self.pending:
+            self.pending.remove(j)
+            self.emit(f"g{j} = {self.ones(self.shape[j])}")
         return f"g{j}"
 
     def ones(self, shape):
@@ -625,8 +592,8 @@ class _Writer:
         """``e{i} * `` (node i's adjoint over the summed axis, times), or
         nothing when that adjoint is ones and ``drop`` says the factor
         already has the product's shape: ``1.0 * x == x``."""
-        if drop and self.pending.get(i) is _ONE:
-            del self.pending[i]
+        if drop and i in self.pending:
+            self.pending.remove(i)
             return ""
         self.emit(f"e{i} = {self.adjoint(i)}[..., None]")
         return f"e{i} * "
@@ -666,20 +633,17 @@ class _Writer:
             # d/dx of the log-mass is log sig(a) - log sig(-a) = a
             self.add_to(xi, self.fold(f"{e}{a}", fx, sx))
             return
-        if self.pending.get(i) is _ONE:  # ones pass through sums and adds
+        if i in self.pending:  # ones pass through sums and adds
             if op == "sum" or (op == "add" and set(shp) == {shape}):
-                del self.pending[i]
+                self.pending.remove(i)
                 for j in ci:
                     self.add_to(j, _ONE)
                 return
         if i in self.scaled:
             return self._fuse(i)
         if op == "stack" and self.stacked[i] is not None:
-            names = [c.name for c in node.children]
-            if isinstance(self.pending.get(i), str):
-                self.contribute(names, self.pending.pop(i)[1:], True, "-")
-            else:
-                self.contribute(names, self.adjoint(i), True)
+            self.contribute([c.name for c in node.children], self.adjoint(i),
+                            True)
             return
         g = self.adjoint(i)
         if op == "add":
@@ -698,7 +662,7 @@ class _Writer:
                 gp = f"p{i}"
             if len(sx) == 1:
                 self.add_to(wi, f"np.outer({gp}, {x})")
-                self.add_to(xi, f"{self.transposed(wi)} @ {gp}")
+                self.add_to(xi, f"{w}.T @ {gp}")
             elif len(sx) == 2:
                 self.add_to(wi, f"{gp}.T @ {x}")
                 self.add_to(xi, f"{gp} @ {w}")
@@ -765,12 +729,11 @@ class _Writer:
 
     # -- the flat gradient of packed inputs ----------------------------------------
 
-    def contribute(self, names, source, stacked, sign="+"):
-        """Add (``sign`` "-": subtract) ``source`` into the flat gradient
-        ``grad`` at the packed inputs ``names``: one input, or the operands
-        of a packed stack (``source`` is then the stack's adjoint, ``(...,
-        k, width)``).  An input of other than one axis adds its adjoint
-        flattened.
+    def contribute(self, names, source, stacked):
+        """Add ``source`` into the flat gradient ``grad`` at the packed
+        inputs ``names``: one input, or the operands of a packed stack
+        (``source`` is then the stack's adjoint, ``(..., k, width)``).  An
+        input of other than one axis adds its adjoint flattened.
 
         One ``+=`` per run of operands with no input twice, written where
         the backward pass reaches it, so every coordinate takes its
@@ -798,7 +761,7 @@ class _Writer:
             else:
                 target = self.const(len(self.lines), np.add.outer(
                     cols, np.arange(width)).reshape(-1), "cx")
-            self.emit(f"grad[..., {target}] {sign}= {part}")
+            self.emit(f"grad[..., {target}] += {part}")
             a = b
 
     def _fuse(self, i):
@@ -840,9 +803,8 @@ _ELEMENTWISE_ADJOINT = {
 # the writer's temporaries: values, adjoints and per-node intermediates
 _TEMPORARY = re.compile(r"\b[vtdrsqepg]\d+\b")
 
-# an adjoint of ones, and an adjoint that only negates a name
+# an adjoint of ones
 _ONE = object()
-_NEGATION = re.compile(r"-([a-z]\d+)")
 
 
 def _free_dead(lines):
@@ -865,24 +827,17 @@ def _free_dead(lines):
 _CODE = {}
 
 
-def _generate(programs, root, shapes, wrt, gradient, layout, seed=None):
-    """One program for ``root`` at input ``shapes`` (the packed values'
-    shape last when there is a ``layout``), compiled with its prologue.
-
-    Unbound (``seed`` None) it is returned ready to run, with the
-    prologue's values as its defaults.  Bound (``seed`` "unit" or
-    "bound"), every input outside the layout is fixed, and the result is
-    the template :func:`bind` gives each evaluator's prologue values."""
-    names = programs.unpacked[layout]
-    writer = _Writer(programs.order, programs.names, shapes, layout,
-                     names if seed else (), seed)
+def _generate(programs, root, shapes, wrt, gradient, layout, unit=False):
+    """``program(a0, ..., [flat], [seed])`` for ``root`` at input ``shapes``
+    (the packed values' last with a ``layout``), its ``root_shape`` set; a
+    gradient program takes the seed unless ``unit``."""
+    writer = _Writer(programs.order, programs.names, shapes, layout, unit)
     writer.forward()
     r = writer.index[id(root)]
     value = writer.var[r]
     if writer.shape[r] == ():
         value = f"float({value})"
-    head = [writer.arg[name] for name in names]
-    args, head = ([], head + ["seed"]) if seed else (head, [])
+    args = [writer.arg[name] for name in programs.unpacked[layout]]
     if layout is not None:
         args.append("flat")
     if gradient:
@@ -890,36 +845,25 @@ def _generate(programs, root, shapes, wrt, gradient, layout, seed=None):
         value = f"{value}, {writer.adjoint_dict()}"
         if layout is not None:
             value += ", grad"
-        if not seed:
+        if not unit:
             args.append("seed")
-        else:
-            writer.prologue.insert(
-                0, f"seed = _seed(seed, None, {writer.shape[r]})")
-    body = writer.body + [f"return {value}"]
-    used = set(re.findall(r"\w+", "\n".join(body)))
-    fixed = [name for name in dict.fromkeys(
-        head + [line.split(" = ")[0] for line in writer.prologue])
-        if name in used]
-    source = "\n".join([
-        f"def prologue({', '.join(head)}):",
-        *_free_dead(writer.prologue + [
-            "return (" + "".join(f"{n}, " for n in fixed) + ")"]),
-        f"def program({', '.join(args + [f'{n}=None' for n in fixed])}):",
-        *_free_dead(body), ""])
+    source = "\n".join([f"def program({', '.join(args)}):",
+                        *_free_dead(writer.lines + [f"return {value}"]), ""])
     code = _CODE.get(source)
-    if code is None:
-        code = _CODE[source] = compile(source, "<ncbayes.autodiff program>",
-                                       "exec")
+    if code is None:  # a file name of its own, its source in linecache
+        filename = f"<ncbayes.autodiff program {len(_CODE)}>"
+        linecache.cache[filename] = (len(source), None,
+                                     source.splitlines(True), filename)
+        code = _CODE[source] = compile(source, filename, "exec")
     namespace = writer.namespace
     exec(code, namespace)
     program = namespace["program"]
-    return program if seed else FunctionType(
-        program.__code__, namespace, "program", namespace["prologue"]())
+    program.root_shape = writer.shape[r]
+    return program
 
 
-def _prepare(root, bindings, wrt, gradient, packed=None, seed=None):
-    """The program for these bindings' shapes (a bound template when
-    ``seed`` names a seed mode), and its arguments."""
+def _prepare(root, bindings, wrt, gradient, packed=None, unit=False):
+    """The program for these bindings' shapes, and its arguments."""
     programs = root._programs
     if programs is None:
         programs = root._programs = _Programs(root)
@@ -938,42 +882,41 @@ def _prepare(root, bindings, wrt, gradient, packed=None, seed=None):
     if packed is not None:
         args.append(np.asarray(packed[1], dtype=np.float64))
     shapes = tuple([a.shape for a in args])
-    key = (shapes, wrt, gradient, layout, seed)
+    key = (shapes, wrt, gradient, layout, unit)
     function = programs.functions.get(key)
     if function is None:
         function = programs.functions[key] = _generate(
-            programs, root, shapes, wrt, gradient, layout, seed)
+            programs, root, shapes, wrt, gradient, layout, unit)
     return function, args
 
 
 @dataclass(frozen=True)
 class Bound:
-    """A gradient program with every input but the packed values bound,
-    and its seed (see *Bound programs*); :func:`bind` makes it and
-    :func:`evaluate_with_gradient` runs it."""
+    """A unit-seed gradient program, its arguments but the packed values
+    (converted once), its seed and the packed values' ``shape``; made by
+    :func:`bind`, run by :func:`evaluate_with_gradient`."""
 
     program: object
+    args: tuple
     seed: object
     shape: tuple
 
 
 def bind(root: Expr, bindings: dict, packed, seed_adjoint=None) -> Bound:
-    """Bind ``root``'s gradient program to fixed inputs and a seed.
+    """Bind ``root``'s gradient program to fixed inputs and a unit seed.
 
     ``bindings`` holds every input outside ``packed``, a ``(layout,
     values)`` pair as in :func:`evaluate_with_gradient` whose values have
-    the shape of every call's.  ``seed_adjoint`` is an array
-    (not a callable) of the root's shape, or None for a scalar root.  The
-    program is cached per root, shapes and seed mode; binding runs only
-    its prologue."""
-    if callable(seed_adjoint):
-        raise ValueError("a bound program needs a seed_adjoint array")
-    unit = seed_adjoint is None or (np.asarray(seed_adjoint) == 1.0).all()
-    template, args = _prepare(root, bindings, frozenset(), True, packed,
-                              "unit" if unit else "bound")
-    values = template.__globals__["prologue"](*args[:-1], seed_adjoint)
-    return Bound(FunctionType(template.__code__, template.__globals__,
-                              "program", values), seed_adjoint, args[-1].shape)
+    the shape of every call's.  ``seed_adjoint`` is ones of the root's
+    shape (None for a scalar root); any other seed, or a callable, raises
+    ValueError.  Binding converts the inputs and checks the seed once."""
+    if callable(seed_adjoint) or not (
+            seed_adjoint is None or (np.asarray(seed_adjoint) == 1.0).all()):
+        raise ValueError("a bound program takes a seed_adjoint of ones")
+    program, args = _prepare(root, bindings, frozenset(), True, packed,
+                             unit=True)
+    _seed(seed_adjoint, None, program.root_shape)
+    return Bound(program, tuple(args[:-1]), seed_adjoint, args[-1].shape)
 
 
 @dataclass
@@ -1044,7 +987,7 @@ def evaluate_with_gradient(root: Expr, bindings: dict, seed_adjoint=None,
         if values.shape != root.shape:
             raise ValueError(f"packed values of shape {values.shape} for a "
                              f"program bound at {root.shape}")
-        return GradientRecord(*root.program(values))
+        return GradientRecord(*root.program(*root.args, values))
     if root.op == "outputs":
         raise ValueError("a multi-output expression has no gradient")
     function, args = _prepare(root, bindings, wrt, True, packed)

@@ -57,10 +57,6 @@ class DomainError(NumericError):
 
 # -- posterior analysis ----------------------------------------------------
 
-class NotNegativeDefinite(NumericError):
-    """A Hessian block fails the negative-definiteness check."""
-
-
 class SignError(NumericError):
     """A curvature has the wrong sign for a log-concave factor."""
 

@@ -30,7 +30,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from . import graph, hmc, learning
 from .analysis import (
@@ -289,6 +288,8 @@ def _lds_grids(config):
 
 
 def _dbn_ess(config):
+    from scipy import stats  # slow to import, and used only here
+
     header = ("log_sigma_z", "ess_cp", "ess_dncp", "ess_mix")
     cells = []
     for log_sigma_z in config.log_sigma_z_grid:

@@ -179,12 +179,6 @@ class FactorGraphModel:
     def observed_ids(self):
         return tuple(i for i in self.topo_order if self.nodes[i].kind == OBSERVED)
 
-    @property
-    def deterministic_ids(self):
-        return tuple(
-            i for i in self.topo_order if self.nodes[i].kind == DETERMINISTIC
-        )
-
     def free_dim(self):
         return sum(self.nodes[i].dim for i in self.free_ids)
 

@@ -4,6 +4,8 @@ multilayer network with a noiseless top layer."""
 
 from __future__ import annotations
 
+import math
+
 from .errors import ShapeError, ZeroScale
 from .graph import build_model, random_params
 
@@ -14,8 +16,8 @@ def build_lds_model(sigma_x, sigma_z):
     z1 ~ N(0, 1), x1 ~ N(z1, sigma_x^2), z2 ~ N(z1, sigma_z^2),
     x2 ~ N(z2, sigma_x^2).  No free parameters.
     """
-    if sigma_x <= 0.0 or sigma_z <= 0.0:
-        raise ZeroScale("both scales must be positive")
+    if not (0.0 < sigma_x < math.inf and 0.0 < sigma_z < math.inf):
+        raise ZeroScale("both scales must be positive and finite")
     return build_model({"nodes": [
         {"id": "z1", "dim": 1, "family": "gaussian", "scale": 1.0},
         {"id": "x1", "kind": "observed", "dim": 1, "family": "gaussian",
@@ -44,8 +46,8 @@ def build_dbn_model(T, latent_dim, obs_dim, sigma_z, rng,
     T = int(T)
     if T < 2:
         raise ShapeError("need at least two timesteps")
-    if sigma_z <= 0.0:
-        raise ZeroScale("sigma_z must be positive")
+    if not 0.0 < sigma_z < math.inf:
+        raise ZeroScale("sigma_z must be positive and finite")
     nodes = [{"id": "z1", "dim": latent_dim, "family": "gaussian",
               "scale": 1.0}]
     for t in range(2, T + 1):
@@ -80,8 +82,8 @@ def build_generative_mlp(dims=(3, 3, 100), obs_dim=784,
     """
     if not dims or len(dims) != len(sigmas):
         raise ShapeError("dims and sigmas must be non-empty and of one length")
-    if sigmas[0] <= 0.0:
-        raise ZeroScale("the root layer needs positive scale")
+    if not 0.0 < sigmas[0] < math.inf:
+        raise ZeroScale("the root layer needs a positive finite scale")
     nodes = [{"id": "z1", "dim": int(dims[0]), "family": "gaussian",
               "scale": float(sigmas[0])}]
     for i in range(1, len(dims)):

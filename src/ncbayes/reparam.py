@@ -68,9 +68,9 @@ class DncpTransform:
     """Invertible noise map for one latent node of ``model``.
 
     ``build_expr(parent_exprs, eps_expr, param_exprs)`` is the forward map
-    as an expression, the node family's noise map.  ``g_inverse`` and
-    ``jacobian_log_abs_det`` are numeric, taking ``(parent_values, array,
-    param_env)``, and evaluate the node's link through the tape.
+    as an expression, the node family's noise map.
+    ``jacobian_log_abs_det`` is numeric, taking ``(parent_values, eps,
+    param_env)``, and evaluates the node's link through the tape.
     """
 
     model: FactorGraphModel
@@ -88,10 +88,6 @@ class DncpTransform:
                         lambda node, link, params: ad.inp(node.id),
                         (), (self.node_id,))
         return _run(root, env, parent_values)[0]
-
-    def g_inverse(self, parent_values, z, env):
-        node = self.model.nodes[self.node_id]
-        return _inverse(node, self._link(parent_values, env), z, env)
 
     def jacobian_log_abs_det(self, parent_values, eps, env):
         node = self.model.nodes[self.node_id]

@@ -8,7 +8,11 @@ import pytest
 
 from ncbayes import analysis, graph, modelzoo
 from ncbayes.analysis import LocalFactorSummary
-from ncbayes.errors import NotNegativeDefinite, SignError, ZeroScale
+from ncbayes.errors import NumericError, SignError, ZeroScale
+
+
+class NotNegativeDefinite(NumericError):
+    """A Hessian block fails the oracle's negative-definiteness check."""
 
 
 # the Hessian oracle of the closed forms

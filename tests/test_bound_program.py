@@ -1,7 +1,7 @@
 """Bound programs against the unbound programs they stand in for.
 
-A bound program folds what its fixed inputs decide (observed values, θ,
-a seed of ones) into a prologue run once per evaluator.  Run on the same
+A bound program holds its fixed inputs (observed values, θ), converted
+once per evaluator, and is written for a seed of ones.  Run on the same
 packed values it must give the unbound program's value and flat gradient
 bit for bit, with the same sign bits, at every batch shape and for rows
 that are out of support or not finite.  Binding is cached: a second call
@@ -54,10 +54,10 @@ def assert_bound_matches(post, q, seed):
 @pytest.mark.parametrize("name", sorted(MODELS))
 @settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(rows=st.sampled_from(ROWS), weights=st.booleans(),
+@given(rows=st.sampled_from(ROWS),
        bad=st.sets(st.integers(0, 399), max_size=3),
        seed=st.integers(0, 2**32 - 1))
-def test_bound_program_equals_unbound(name, rows, weights, bad, seed):
+def test_bound_program_equals_unbound(name, rows, bad, seed):
     model, theta = MODELS[name]()
     rng = np.random.default_rng(seed)
     per_row = name == "mlp-estep"  # one datapoint per row, as the E-step
@@ -70,10 +70,7 @@ def test_bound_program_equals_unbound(name, rows, weights, bad, seed):
         if rows and r < n and k:
             q[r, r % q.shape[1]] = (np.nan, -np.inf)[k % 2]
     outer = q.shape[0] if q.ndim == 2 else post.rows
-    seed_adjoint = None if outer is None else np.ones(outer)
-    if weights and outer is not None:  # a seed that does not fold
-        seed_adjoint = rng.uniform(-2.0, 2.0, outer)
-    assert_bound_matches(post, q, seed_adjoint)
+    assert_bound_matches(post, q, None if outer is None else np.ones(outer))
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -98,22 +95,15 @@ def test_evaluator_calls_keep_their_bits(name):
                                     0.0) * keep[:, None])
 
 
-def test_a_seed_of_weights_is_not_folded():
+@pytest.mark.parametrize("seed", [np.linspace(0.5, 2.0, 8), np.full(8, 2.0),
+                                  np.r_[np.ones(7), 0.0]])
+def test_bind_takes_only_a_seed_of_ones(seed):
     model, theta = case("dbn", "dncp")
     rng = np.random.default_rng(2)
     post = LatentPosterior(model, theta, observed_values(model, rng, None))
     q = free_values(model, rng, 8)
-    weights = np.linspace(0.5, 2.0, 8)
-    assert_bound_matches(post, q, weights)
-    ones = ad.bind(post.compiled.root, post._bindings, (post._layout, q),
-                   np.ones(8))
-    scaled = ad.bind(post.compiled.root, post._bindings, (post._layout, q),
-                     weights)
-    unit = ad.evaluate_with_gradient(ones, None, seed_adjoint=ones.seed,
-                                     packed=q)
-    got = ad.evaluate_with_gradient(scaled, None, seed_adjoint=scaled.seed,
-                                    packed=q)
-    assert not np.array_equal(got.packed, unit.packed)
+    with pytest.raises(ValueError):
+        ad.bind(post.compiled.root, post._bindings, (post._layout, q), seed)
 
 
 def test_bound_call_takes_only_its_own_seed():
@@ -159,7 +149,7 @@ def test_second_call_generates_nothing(monkeypatch):
 
 def test_second_evaluator_compiles_no_code(monkeypatch):
     """A new evaluator of one model and shape (an EM round's new θ) only
-    reruns the prologue of the cached program."""
+    converts its arguments for the cached program."""
     model, theta = _dbn(0.6)
     rng = np.random.default_rng(6)
     data = observed_values(model, rng, None)

@@ -9,6 +9,8 @@ whose gradient comes from complex-step differences, which are exact to
 rounding.
 """
 
+import linecache
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -472,3 +474,16 @@ def test_models_differing_in_constants_compile_once(monkeypatch):
     for sigma_z, (value, grad) in shared.items():
         np.testing.assert_array_equal(value, alone[sigma_z][0])
         np.testing.assert_array_equal(grad, alone[sigma_z][1])
+
+
+def test_each_program_source_has_a_file_name_of_its_own():
+    """Profiles and tracebacks tell programs apart, and show their lines."""
+    z = ad.inp("z")
+    names = []
+    for root in (ad.total(ad.tanh(z)), ad.total(ad.exp(z))):
+        ad.evaluate_with_gradient(root, {"z": np.ones(3)})
+        (program,) = root._programs.functions.values()
+        names.append(program.__code__.co_filename)
+    assert names[0] != names[1]
+    for name in names:
+        assert linecache.getline(name, 1).startswith("def program")

@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -240,3 +243,18 @@ class TestOutputHygiene:
         assert manifest["config"]["n_points"] == 4
         assert len(manifest["content_hash"]) == 40
         assert manifest["outputs"] == ["results.csv", "summary.json"]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """``scipy.stats`` takes most of a second to import; only the dbn-ess
+    experiment needs it, so importing the package must not load it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, ncbayes; "
+         "print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-3000:]
+    assert result.stdout.strip() == "False"

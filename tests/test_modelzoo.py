@@ -7,6 +7,8 @@ from ncbayes import modelzoo, reparam
 from ncbayes.errors import ShapeError, ZeroScale
 from ncbayes.experiments import two_layer_model
 
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
 
 class TestLds:
     def test_structure(self):
@@ -33,6 +35,13 @@ class TestLds:
             modelzoo.build_lds_model(0.0, 1.0)
         with pytest.raises(ZeroScale):
             modelzoo.build_lds_model(1.0, -2.0)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_scales_rejected(self, bad):
+        with pytest.raises(ZeroScale):
+            modelzoo.build_lds_model(bad, 1.0)
+        with pytest.raises(ZeroScale):
+            modelzoo.build_lds_model(1.0, bad)
 
 
 class TestDbn:
@@ -68,6 +77,11 @@ class TestDbn:
         with pytest.raises(ZeroScale):
             modelzoo.build_dbn_model(3, 2, 5, 0.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_sigma_z_rejected(self, bad):
+        with pytest.raises(ZeroScale):
+            modelzoo.build_dbn_model(3, 2, 5, bad, np.random.default_rng(0))
+
 
 class TestGenerativeMlp:
     def test_default_top_layer_is_deterministic(self):
@@ -92,6 +106,11 @@ class TestGenerativeMlp:
             modelzoo.build_generative_mlp(obs_dim=8, sigmas=(0.0, 1.0, 1.0))
         with pytest.raises(ShapeError):
             modelzoo.build_generative_mlp(dims=(), obs_dim=8, sigmas=())
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_root_scale_rejected(self, bad):
+        with pytest.raises(ZeroScale):
+            modelzoo.build_generative_mlp(obs_dim=8, sigmas=(bad, 1.0, 1.0))
 
     @pytest.mark.parametrize("depth", [1, 2, 4])
     def test_any_number_of_layers(self, depth):

@@ -59,7 +59,8 @@ class TestTransformMaps:
         eps = np.array([1.0 - np.exp(-1.0)])
         z = reparam.z_from_eps(model, {"r": t}, {"eps_r": eps}, np.zeros(0))
         assert z["r"] == pytest.approx(0.5, rel=1e-14)
-        back = t.g_inverse({}, np.array([1.0]), {})
+        back = reparam.eps_from_z(model, {"r": t}, {"r": np.array([1.0])},
+                                  np.zeros(0))[t.aux_id]
         assert back == pytest.approx(0.8646647167633873, rel=1e-14)
 
     def test_composition_forward_value_and_mean(self):
@@ -330,10 +331,13 @@ class TestValidation:
         with pytest.raises(DomainError):
             reparam.z_from_eps(model, {"r": plan["r"]},
                                {"eps_r": np.array([1.0])}, np.zeros(0))
+        z = {"r": np.array([1.0]), "y": np.array([1.0]), "s": np.array([0.0])}
         with pytest.raises(DomainError):
-            plan["r"].g_inverse({}, np.array([-0.5]), {})
+            reparam.eps_from_z(model, {"r": plan["r"]},
+                               {**z, "r": np.array([-0.5])}, np.zeros(0))
         with pytest.raises(DomainError):
-            plan["y"].g_inverse({"r": np.array([1.0])}, np.array([0.0]), {})
+            reparam.eps_from_z(model, {"y": plan["y"]},
+                               {**z, "y": np.array([0.0])}, np.zeros(0))
 
     def test_translation_domain_errors(self):
         model = graph.build_model({"nodes": [
@@ -363,6 +367,6 @@ class TestValidation:
             {"id": "z", "dim": 1, "family": "gaussian", "scale": "param"},
         ]})
         t = reparam.location_scale_transform(model, "z")
-        env = model.layout.unpack(np.array([-1.0]))
         with pytest.raises(NonInvertible):
-            t.g_inverse({}, np.array([0.3]), env)
+            reparam.eps_from_z(model, {"z": t}, {"z": np.array([0.3])},
+                               np.array([-1.0]))
