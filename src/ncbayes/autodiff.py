@@ -204,9 +204,10 @@ def gaussian_log_pdf(x, mean, scale) -> Expr:
 def bernoulli_log_pmf(x, logits) -> Expr:
     """Sum over the trailing axis of Bernoulli log-masses at logits.
 
-    Evaluated as ``x*a - logaddexp(0, a)``, which equals
-    ``x log sigmoid(a) + (1-x) log sigmoid(-a)`` and stays finite for large
-    logits of either sign.
+    Evaluated as ``x*a - max(a, 0) - log1p(e)``, which equals
+    ``x log sigmoid(a) + (1-x) log sigmoid(-a)``, with the adjoint's sigmoid
+    ``exp(min(a, 0)) / (1 + e)`` from the same ``e = exp(-|a|)`` (Maechler
+    2012); both stay finite for large logits of either sign.
     """
     return Expr("bernoulliLogPmf", (as_expr(x), as_expr(logits)))
 
@@ -458,7 +459,10 @@ class _Writer:
                 shape = self._forward_gaussian(i, node, var, shp)
             elif op == "bernoulliLogPmf":
                 x, a = var
-                self.emit(f"t{i} = {x} * {a} - np.logaddexp(0.0, {a})")
+                # the backward pass takes the sigmoid from the same p{i}
+                self.emit(f"p{i} = np.exp(-np.abs({a}))")
+                self.emit(f"t{i} = {x} * {a} - (np.maximum({a}, 0.0)"
+                          f" + np.log1p(p{i}))")
                 shape = self._sum_last(v, f"t{i}", np.broadcast_shapes(*shp))
             elif op == "sum":
                 shape = self._sum_last(v, var[0], shp[0])
@@ -629,7 +633,9 @@ class _Writer:
             fa, fx = (np.broadcast_shapes(ge, sx, sa),
                       np.broadcast_shapes(ge, sa))
             e = self._spread(i, np.broadcast_shapes(sx, sa) == fa and sa == fx)
-            self.add_to(ai, self.fold(f"{e}({x} - expit({a}))", fa, sa))
+            self.add_to(ai, self.fold(
+                f"{e}({x} - np.exp(np.minimum({a}, 0.0)) / (1.0 + p{i}))",
+                fa, sa))
             # d/dx of the log-mass is log sig(a) - log sig(-a) = a
             self.add_to(xi, self.fold(f"{e}{a}", fx, sx))
             return

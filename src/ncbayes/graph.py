@@ -29,6 +29,7 @@ blocks by name, so several factors may share one block (tied weights).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ from scipy.special import expit
 
 from . import autodiff as ad
 from .errors import (
+    ConfigurationError,
     CycleError,
     DomainError,
     NonFinite,
@@ -46,6 +48,13 @@ from .errors import (
     UnsupportedFamily,
     ZeroScale,
 )
+
+
+def _is(value, kinds):
+    """``isinstance``, save that a bool (or a YAML true or false) is no
+    number."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
 
 LATENT, OBSERVED, AUXILIARY, DETERMINISTIC = (
     "latent", "observed", "auxiliary", "deterministic",
@@ -331,6 +340,8 @@ def _build_node(entry, dims, kinds, registry):
         return NodeSpec(node_id, DETERMINISTIC, dim, parents,
                         Factor("deterministic", link=link))
     if isinstance(scale, np.ndarray):
+        if not np.all(np.isfinite(scale)):
+            raise ZeroScale(f"node '{node_id}': non-finite scale")
         if np.any(scale < 0.0):
             raise ZeroScale(f"node '{node_id}': negative scale")
         if np.any(scale == 0.0):
@@ -880,14 +891,18 @@ def ancestral_sample(model, theta, rng, size=None):
     non-centered graph at the same noise; Bernoulli values are
     ``u < expit(logits)``.  With ``size=n`` every node value is an
     ``(n, dim)`` row batch drawn with shared parameters; otherwise values
-    are ``(dim,)`` vectors.  Observed nodes are sampled too.
+    are ``(dim,)`` vectors.  Observed nodes are sampled too.  A ``size``
+    that is not a positive integer raises ``ConfigurationError``.
     """
+    if size is not None and not (_is(size, numbers.Integral) and size > 0):
+        raise ConfigurationError(
+            f"size must be a positive integer, got {size!r}")
     theta = _check_theta(model, theta)
     noise, noise_ids, shapes = {}, {}, {}
     for node_id in model.topo_order:
         node = model.nodes[node_id]
         shape = shapes[node_id] = (
-            (node.dim,) if size is None else (int(size), node.dim))
+            (node.dim,) if size is None else (size, node.dim))
         if node.kind == DETERMINISTIC:
             continue
         family = node.factor.family

@@ -32,19 +32,13 @@ import numpy as np
 
 from . import graph
 from .errors import ConfigurationError, NonFinite, StepUnderflow
-from .graph import LatentPosterior, pack_coords, unpack_coords
+from .graph import LatentPosterior, _is, pack_coords, unpack_coords
 from .reparam import apply_plan, eps_from_z, full_dncp_plan, z_from_eps
 
 STEP_FLOOR = 1e-12
 GROW = 1.02
 
 _SYSTEM_OF = {"cp": "z", "dncp": "eps"}
-
-
-def _is(value, kinds):
-    """``isinstance``, save that a bool (or a YAML true or false) is no
-    number."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -208,6 +202,10 @@ def run_chains(model, theta, data, config, parameterization="cp", plan=None,
     _check_mix_rho(mix_rho)
     if seeds is None:
         seeds = (config.seed,)
+    for s in seeds:
+        if not (_is(s, numbers.Integral) and s >= 0):
+            raise ConfigurationError(
+                f"seeds must be non-negative integers, got {s!r}")
     gens = [np.random.default_rng(s) for s in seeds]
     rows = len(gens)
     if not rows:

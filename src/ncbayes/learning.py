@@ -13,6 +13,7 @@ The L-sample average is computed in log space with log-sum-exp; the plain
 average of likelihoods underflows already at modest data dimension.
 """
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,9 +54,12 @@ class AdagradState:
 
 
 def adagrad_init(dim, learning_rate, epsilon=1e-8):
-    """Fresh optimizer state with zero accumulators."""
-    return AdagradState(float(learning_rate), np.zeros(int(dim)),
-                        float(epsilon))
+    """Fresh optimizer state with zero accumulators; ``dim`` must be a
+    non-negative integer."""
+    if not (graph._is(dim, numbers.Integral) and dim >= 0):
+        raise ConfigurationError(
+            f"dim must be a non-negative integer, got {dim!r}")
+    return AdagradState(float(learning_rate), np.zeros(dim), float(epsilon))
 
 
 def adagrad_update(theta, grad, state):

@@ -46,12 +46,12 @@ DEFAULT_SHA256 = {
         "c1f8b85e3c078d74fb89548ee4b0da2b66288c96b97a3a6e5d013783aa1ef4a9",
         "251fd0ddc3573a8bc645c8a619b6257e4ff95c0c545a83e3c9b2e04c0be3e640"),
     "dbn-ess": (
-        "86ce1fccaf9179ff9cd4d6d7a41136cdbc2cacac089177e21d2c5be1e4f38448",
-        "b35fbd000687e105007d03b7dd16e1e33d6529e3ddf466932ecd9234ae315269",
+        "cfac9f61f676b8194ca8ac4f61875e3fae0d46503bfcfddf6b6897a95b9c4f6c",
+        "1be056ebfa36d0848451e66f8ff01a8164aca22f69990d755788be25534119ed",
         "e54dd406bf08895f5c760bada9c29c9834319ca1218619d461bd10bd3f6bc069"),
     "mmcl-vs-mcem": (
-        "77e8dbaa5a9be7feb6ee8662ffa3552457af694e3b1f6a37099c3a44bcf63af2",
-        "5155aa302a24ede3066963c7f72039e53912f44303be5b7ea244d8311a11e505",
+        "1e5116fe3cff4aff791104dfb02ad592dd4aa0ae72e57f14a6babe2137351f12",
+        "a7730f9724bcbee9d23f171a44ff2c4c73f78d81283f868bf7c34dd5d1f50642",
         "b6c7b8442cf1ac7896f05cdbd0632e6e8d5f3901fbdc7db8631690be1cab70f4"),
 }
 

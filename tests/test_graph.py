@@ -7,6 +7,7 @@ from scipy.special import expit
 
 from ncbayes import graph
 from ncbayes.errors import (
+    ConfigurationError,
     CycleError,
     ObservedNotLeaf,
     ShapeError,
@@ -75,6 +76,14 @@ class TestBuildValidation:
              "scale": 0.0},
         ]}
         with pytest.raises(ZeroScale):
+            graph.build_model(spec)
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, [1.0, np.nan],
+                                       [np.inf, 1.0]])
+    def test_non_finite_scale_rejected(self, scale):
+        spec = {"nodes": [{"id": "z", "dim": 2, "family": "gaussian",
+                           "scale": scale}]}
+        with pytest.raises(ZeroScale, match="non-finite"):
             graph.build_model(spec)
 
     def test_negative_scale_rejected(self):
@@ -331,6 +340,14 @@ class TestAncestralSampling:
         draws = graph.ancestral_sample(model, np.zeros(0), np.random.default_rng(2),
                                        size=100_000)
         assert draws["r"].mean() == pytest.approx(0.25, abs=0.005)
+
+    @pytest.mark.parametrize("size", [-1, 0, 2.5, True, np.float64(2.0)])
+    def test_size_must_be_a_positive_integer(self, size):
+        model = graph.build_model(two_layer_spec())
+        theta = graph.random_params(model, np.random.default_rng(4))
+        with pytest.raises(ConfigurationError, match="size"):
+            graph.ancestral_sample(model, theta, np.random.default_rng(5),
+                                   size=size)
 
     def test_bernoulli_values_are_binary(self):
         model = graph.build_model(two_layer_spec())

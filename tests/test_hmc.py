@@ -482,6 +482,19 @@ class TestRunChains:
         with pytest.raises(ConfigurationError, match="seeds"):
             run_chains(model, theta, data, cfg, seeds=seeds)
 
+    @pytest.mark.parametrize("seed", [1.5, -1, True, np.float64(2.0)])
+    def test_seeds_must_be_non_negative_integers(self, seed):
+        model, theta, data, _, _ = lds_problem()
+        cfg = HmcConfig(step_size=0.2, burn_in=10, samples=10)
+        with pytest.raises(ConfigurationError, match="seeds"):
+            run_chains(model, theta, data, cfg, seeds=[0, seed])
+
+    def test_a_negative_config_seed_is_rejected(self):
+        model, theta, data, _, _ = lds_problem()
+        cfg = HmcConfig(step_size=0.2, burn_in=10, samples=10, seed=-1)
+        with pytest.raises(ConfigurationError, match="seeds"):
+            run_chains(model, theta, data, cfg)
+
 
 class TestAcceptanceBand:
     def test_adapted_acceptance_brackets_target_on_dbn(self):

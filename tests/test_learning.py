@@ -109,6 +109,15 @@ class TestAdagrad:
         with pytest.raises(ShapeError):
             adagrad_update(np.zeros(2), np.zeros(3), adagrad_init(2, 0.1))
 
+    @pytest.mark.parametrize("dim", [-1, 2.5, True, np.float64(2.0), "2"])
+    def test_dim_must_be_a_non_negative_integer(self, dim):
+        with pytest.raises(ConfigurationError, match="dim"):
+            adagrad_init(dim, 0.1)
+
+    def test_integer_dims_of_any_kind(self):
+        assert adagrad_init(0, 0.1).accumulators.shape == (0,)
+        assert adagrad_init(np.int64(3), 0.1).accumulators.shape == (3,)
+
 
 class TestMmclEstimate:
     def test_config_validation(self):

@@ -112,6 +112,12 @@ class TestGenerativeMlp:
         with pytest.raises(ZeroScale):
             modelzoo.build_generative_mlp(obs_dim=8, sigmas=(bad, 1.0, 1.0))
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_lower_scale_rejected(self, bad):
+        with pytest.raises(ZeroScale):
+            modelzoo.build_generative_mlp(dims=(2, 3), obs_dim=4,
+                                          sigmas=(1.0, bad))
+
     @pytest.mark.parametrize("depth", [1, 2, 4])
     def test_any_number_of_layers(self, depth):
         model = modelzoo.build_generative_mlp(
