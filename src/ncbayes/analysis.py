@@ -33,14 +33,7 @@ from .errors import (
     SignError,
     ZeroScale,
 )
-from .graph import (
-    _coeff_expr,
-    _program,
-    _run,
-    grad_log_joint_latents,
-    pack_coords,
-    unpack_coords,
-)
+from .graph import LatentPosterior, _coeff_expr, _program, _run, pack_coords
 from .modelzoo import build_lds_model
 from .reparam import apply_plan, full_dncp_plan
 
@@ -180,23 +173,18 @@ def hessian_log_posterior(model, theta, point, coordinate_system="cp",
     elif coordinate_system != "cp":
         raise ValueError(f"unknown coordinate system '{coordinate_system}'")
     theta = np.asarray(theta, dtype=np.float64)
-    ids = model.free_ids
     filled = prior_mean_point(model, theta, overrides=point)
-    x0 = pack_coords(model, filled, ids)
-    fixed = {k: v for k, v in filled.items() if k not in set(ids)}
-
-    def grad_at(x):
-        a = {**fixed, **unpack_coords(model, x, ids)}
-        _, grads = grad_log_joint_latents(model, theta, a)
-        return np.concatenate([np.ravel(grads[i]) for i in ids])
-
+    x0 = pack_coords(model, filled)
+    target = LatentPosterior(model, theta, {
+        i: filled[i] for i in model.observed_ids if i in filled})
     n = x0.size
     H = np.empty((n, n))
     for k in range(n):
         hi, lo = x0.copy(), x0.copy()
         hi[k] += step
         lo[k] -= step
-        H[:, k] = (grad_at(hi) - grad_at(lo)) / (2.0 * step)
+        H[:, k] = (target.value_and_grad(hi)[1]
+                   - target.value_and_grad(lo)[1]) / (2.0 * step)
     H = 0.5 * (H + H.T)
     if not np.all(np.isfinite(H)):
         raise NonFinite("Hessian has non-finite entries")

@@ -18,7 +18,7 @@ import yaml
 
 from .errors import ConfigurationError
 from .experiments import ExperimentConfig, LearningSpec
-from .hmc import HmcConfig, _check_mix_rho, _is
+from .hmc import HmcConfig, _check_int, _check_mix_rho, _is
 
 _TUPLE_KEYS = ("sigma_z_grid", "log_sigma_z_grid", "replicate_seeds",
                "gen_dims")
@@ -43,6 +43,9 @@ class AnalyzeConfig:
     sigma: float | None = None
     out_dir: str = "results"
     seed: int = 0
+
+    def __post_init__(self):
+        _check_int("seed", self.seed, 0)
 
     def local_factor_given(self):
         values = (self.alpha, self.beta, self.w, self.sigma)
@@ -77,6 +80,7 @@ class SampleConfig:
             raise ConfigurationError(
                 "parameterization must be cp, dncp, or mix")
         _check_mix_rho(self.mix_rho)
+        _check_int("seed", self.seed, 0)
 
 
 def load_config(path):

@@ -126,6 +126,7 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"gen_dims must be two positive integers, got {dims!r}")
         hmc._check_mix_rho(self.mix_rho)
+        hmc._check_int("seed", self.seed, 0)
 
 
 def _config_dict(config):

@@ -56,6 +56,14 @@ def _is(value, kinds):
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def _check_int(name, value, least):
+    """Reject ``value`` unless it is an integer, not a bool, of at least
+    ``least``."""
+    if not (_is(value, numbers.Integral) and value >= least):
+        raise ConfigurationError(
+            f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 LATENT, OBSERVED, AUXILIARY, DETERMINISTIC = (
     "latent", "observed", "auxiliary", "deterministic",
 )
@@ -894,9 +902,8 @@ def ancestral_sample(model, theta, rng, size=None):
     are ``(dim,)`` vectors.  Observed nodes are sampled too.  A ``size``
     that is not a positive integer raises ``ConfigurationError``.
     """
-    if size is not None and not (_is(size, numbers.Integral) and size > 0):
-        raise ConfigurationError(
-            f"size must be a positive integer, got {size!r}")
+    if size is not None:
+        _check_int("size", size, 1)
     theta = _check_theta(model, theta)
     noise, noise_ids, shapes = {}, {}, {}
     for node_id in model.topo_order:
@@ -925,29 +932,27 @@ def ancestral_sample(model, theta, rng, size=None):
 
 # -- flat views of the free coordinates ---------------------------------------
 
-def coord_slices(model, ids=None):
-    """Contiguous slices of a flat vector over the given node ids."""
-    ids = tuple(ids) if ids is not None else model.free_ids
+def coord_slices(model):
+    """Contiguous slices of a flat vector over the free node ids."""
     slices = {}
     offset = 0
-    for i in ids:
+    for i in model.free_ids:
         d = model.nodes[i].dim
         slices[i] = slice(offset, offset + d)
         offset += d
     return slices, offset
 
 
-def pack_coords(model, assignment, ids=None):
-    """Concatenate node values (free coordinates by default) into one vector."""
-    ids = tuple(ids) if ids is not None else model.free_ids
-    parts = [np.asarray(assignment[i], dtype=np.float64) for i in ids]
+def pack_coords(model, assignment):
+    """Concatenate the free nodes' values into one vector."""
+    parts = [np.asarray(assignment[i], dtype=np.float64)
+             for i in model.free_ids]
     return np.concatenate(parts, axis=-1) if parts else np.zeros(0)
 
 
-def unpack_coords(model, vector, ids=None):
+def unpack_coords(model, vector):
     """Split a flat (or row-batched) vector back into per-node values."""
-    ids = tuple(ids) if ids is not None else model.free_ids
-    slices, total = coord_slices(model, ids)
+    slices, total = coord_slices(model)
     vector = np.asarray(vector, dtype=np.float64)
     if vector.shape[-1] != total:
         raise ShapeError(

@@ -2,12 +2,14 @@
 
 The chain targets the free coordinates of a model conditioned on observed
 data with fixed parameters, through :class:`~ncbayes.graph.LatentPosterior`.
-It can run in the model's own latent coordinates, in the auxiliary-noise
-coordinates of a reparameterization plan, or as a mixture kernel that flips
-a coin each iteration and performs the update in whichever system it
-picked, translating the current point exactly between systems.  Draws are
-always stored in latent (z) coordinates regardless of where the updates
-happened.
+There is one kernel, a mixture that flips a coin each iteration with
+weight rho on the model's own latent coordinates (cp) and performs the
+update in whichever system it picked: cp or the auxiliary-noise
+coordinates (dncp) of a reparameterization plan.  The current point is
+translated exactly between systems.  The pure cp and dncp chains are this
+kernel at rho = 1 and rho = 0, which build only their one system and draw
+no coin.  Draws are always stored in latent (z) coordinates regardless of
+where the updates happened.
 
 Every update, here and in the Monte Carlo EM E-step, is one call of the
 batched :func:`_transition`, and every step-size change one call of
@@ -32,13 +34,12 @@ import numpy as np
 
 from . import graph
 from .errors import ConfigurationError, NonFinite, StepUnderflow
-from .graph import LatentPosterior, _is, pack_coords, unpack_coords
+from .graph import (LatentPosterior, _check_int, _is, pack_coords,
+                    unpack_coords)
 from .reparam import apply_plan, eps_from_z, full_dncp_plan, z_from_eps
 
 STEP_FLOOR = 1e-12
 GROW = 1.02
-
-_SYSTEM_OF = {"cp": "z", "dncp": "eps"}
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,8 @@ class ChainResult:
     The traces cover every iteration including burn-in, so the realized
     acceptance rate after warmup is ``accept_trace[burn_in:].mean()``.
     ``system_trace`` records which parameterization each iteration used
-    ("cp" or "dncp"); ``final_step_sizes`` maps those names to the frozen
-    post-adaptation step sizes.
+    ("cp" or "dncp"); ``final_step_sizes`` maps each system the chain
+    could use to its frozen post-adaptation step size.
     """
 
     draws: np.ndarray
@@ -178,12 +179,13 @@ def run_chains(model, theta, data, config, parameterization="cp", plan=None,
                mix_rho=0.5, seeds=None):
     """Run adaptive HMC chains, replicates as rows of one batched state.
 
-    ``parameterization`` picks where updates happen: "cp" uses the model's
-    own latent coordinates, "dncp" the auxiliary coordinates of ``plan``
-    (a full plan is built when none is given), and "mix" the coin-flip
-    combination of both with weight ``mix_rho`` on "cp".  The first
-    ``config.burn_in`` iterations adapt step sizes and are discarded; the
-    next ``config.samples`` points are stored, always in z-coordinates.
+    ``parameterization`` picks where updates happen: "mix" flips a coin
+    each iteration with weight ``mix_rho`` on "cp", the model's own latent
+    coordinates, against "dncp", the auxiliary coordinates of ``plan`` (a
+    full plan is built when none is given); "cp" and "dncp" are that
+    kernel at weight 1 and 0.  The first ``config.burn_in`` iterations
+    adapt step sizes and are discarded; the next ``config.samples`` points
+    are stored, always in z-coordinates.
 
     ``seeds`` (default: ``(config.seed,)``) gives one independent chain per
     entry; every gradient evaluation covers all rows at once.  Rows draw
@@ -203,106 +205,79 @@ def run_chains(model, theta, data, config, parameterization="cp", plan=None,
     if seeds is None:
         seeds = (config.seed,)
     for s in seeds:
-        if not (_is(s, numbers.Integral) and s >= 0):
-            raise ConfigurationError(
-                f"seeds must be non-negative integers, got {s!r}")
+        _check_int("seeds", s, 0)
     gens = [np.random.default_rng(s) for s in seeds]
     rows = len(gens)
     if not rows:
         raise ConfigurationError("seeds must name at least one chain")
 
-    dncp_target = None
-    if par != "cp":
+    # only the systems the weight can reach are built
+    rho = {"cp": 1.0, "dncp": 0.0}.get(par, mix_rho)
+    targets = {}
+    if rho > 0:
+        targets["cp"] = LatentPosterior(model, theta, data)
+    if rho < 1:
         if plan is None:
             plan = full_dncp_plan(model)
-        dncp_target = LatentPosterior(apply_plan(model, plan), theta, data)
-    cp_target = None
-    if par != "dncp":
-        cp_target = LatentPosterior(model, theta, data)
+        targets["dncp"] = LatentPosterior(apply_plan(model, plan), theta, data)
 
-    prior_rows = [graph.ancestral_sample(model, theta, g) for g in gens]
-    q = np.stack([pack_coords(model, d) for d in prior_rows])
-    if par == "dncp":
-        evals = eps_from_z(model, plan, unpack_coords(model, q), theta)
-        q = pack_coords(dncp_target.model, evals)
-        system = "eps"
-    else:
-        system = "z"
-    target = dncp_target if par == "dncp" else cp_target
-    logp, grad = target.value_and_grad(q)
+    def translate(q, to):
+        """Map packed points exactly into the coordinates of system ``to``."""
+        if to == "cp":
+            return pack_coords(model, z_from_eps(
+                model, plan, unpack_coords(targets["dncp"].model, q), theta))
+        return pack_coords(targets["dncp"].model, eps_from_z(
+            model, plan, unpack_coords(model, q), theta))
+
+    system = "cp" if rho > 0 else "dncp"
+    q = np.stack([pack_coords(model, graph.ancestral_sample(model, theta, g))
+                  for g in gens])
+    if system == "dncp":
+        q = translate(q, system)
+    logp, grad = targets[system].value_and_grad(q)
     if not np.all(np.isfinite(logp)):
         raise NonFinite("initial point has zero posterior density")
 
     total = config.burn_in + config.samples
     dim = q.shape[-1]
-    n_steps = config.leapfrog_steps
     draws = np.empty((rows, config.samples, dim))
-    stored_in_eps = np.zeros(config.samples, dtype=bool)
+    stored_dncp = np.zeros(config.samples, dtype=bool)
     accept_trace = np.zeros((rows, total), dtype=bool)
     system_trace = np.empty(total, dtype="<U4")
     step_trace = np.empty((rows, total))
-    steps = {
-        "cp": np.full(rows, float(config.step_size)),
-        "dncp": np.full(rows, float(config.step_size)),
-    }
+    steps = {name: np.full(rows, float(config.step_size)) for name in targets}
 
     for it in range(total):
-        if par != "mix":
-            name = par
-        elif 0.0 < mix_rho < 1.0:
-            name = "cp" if gens[0].random() < mix_rho else "dncp"
-        else:  # rho 0 or 1 draws no coin: the pure chain, bit for bit
-            name = "cp" if mix_rho else "dncp"
-        want = _SYSTEM_OF[name]
-        if want != system:
-            if want == "eps":
-                evals = eps_from_z(model, plan, unpack_coords(model, q), theta)
-                q = pack_coords(dncp_target.model, evals)
-                target = dncp_target
-            else:
-                zvals = z_from_eps(
-                    model, plan, unpack_coords(dncp_target.model, q), theta
-                )
-                q = pack_coords(model, zvals)
-                target = cp_target
-            system = want
-            logp, grad = target.value_and_grad(q)
+        if len(targets) > 1:
+            to = "cp" if gens[0].random() < rho else "dncp"
+            if to != system:
+                q, system = translate(q, to), to
+                logp, grad = targets[system].value_and_grad(q)
 
         p0 = np.stack([g.standard_normal(dim) for g in gens])
         u = np.array([g.random() for g in gens])
-        q, logp, grad, acc = _transition(q, logp, grad, target, steps[name],
-                                         n_steps, p0, u)
+        q, logp, grad, acc = _transition(q, logp, grad, targets[system],
+                                         steps[system],
+                                         config.leapfrog_steps, p0, u)
 
         accept_trace[:, it] = acc
-        system_trace[it] = name
-        step_trace[:, it] = steps[name]
+        system_trace[it] = system
+        step_trace[:, it] = steps[system]
         if it < config.burn_in:
-            steps[name] = _adapt(steps[name], acc, config.target_accept)
+            steps[system] = _adapt(steps[system], acc, config.target_accept)
         else:
             k = it - config.burn_in
             draws[:, k, :] = q
-            stored_in_eps[k] = system == "eps"
+            stored_dncp[k] = system == "dncp"
 
-    if np.any(stored_in_eps):
-        sel = stored_in_eps
-        flat = draws[:, sel, :].reshape(-1, dim)
-        zvals = z_from_eps(
-            model, plan, unpack_coords(dncp_target.model, flat), theta
-        )
-        draws[:, sel, :] = pack_coords(model, zvals).reshape(rows, -1, dim)
+    if np.any(stored_dncp):
+        flat = draws[:, stored_dncp, :].reshape(-1, dim)
+        draws[:, stored_dncp, :] = translate(flat, "cp").reshape(rows, -1, dim)
 
-    results = []
-    for i in range(rows):
-        if par == "mix":
-            final = {n: float(steps[n][i]) for n in ("cp", "dncp")}
-        else:
-            final = {par: float(steps[par][i])}
-        results.append(ChainResult(
-            draws=draws[i],
-            accept_trace=accept_trace[i],
-            step_trace=step_trace[i],
-            system_trace=system_trace.copy(),
-            final_step_sizes=final,
-        ))
-    return results
-
+    return [ChainResult(
+        draws=draws[i],
+        accept_trace=accept_trace[i],
+        step_trace=step_trace[i],
+        system_trace=system_trace.copy(),
+        final_step_sizes={name: float(steps[name][i]) for name in targets},
+    ) for i in range(rows)]

@@ -13,7 +13,6 @@ The L-sample average is computed in log space with log-sum-exp; the plain
 average of likelihoods underflows already at modest data dimension.
 """
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +27,8 @@ from .errors import (
     NonFinite,
     ShapeError,
 )
+from .graph import _check_int
+from .reparam import apply_plan, eps_from_z, full_dncp_plan
 
 _AUX_FAMILIES = ("std_normal_aux", "uniform_aux")
 
@@ -56,9 +57,7 @@ class AdagradState:
 def adagrad_init(dim, learning_rate, epsilon=1e-8):
     """Fresh optimizer state with zero accumulators; ``dim`` must be a
     non-negative integer."""
-    if not (graph._is(dim, numbers.Integral) and dim >= 0):
-        raise ConfigurationError(
-            f"dim must be a non-negative integer, got {dim!r}")
+    _check_int("dim", dim, 0)
     return AdagradState(float(learning_rate), np.zeros(dim), float(epsilon))
 
 
@@ -85,10 +84,9 @@ class MmclConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.L) < 1:
-            raise ConfigurationError("L must be at least 1")
-        if int(self.batch_size) < 1:
-            raise ConfigurationError("batch_size must be at least 1")
+        _check_int("L", self.L, 1)
+        _check_int("batch_size", self.batch_size, 1)
+        _check_int("seed", self.seed, 0)
 
 
 def _require_fully_noncentered(model):
@@ -231,11 +229,10 @@ def mmcl_estimate(model, theta, data, L, rng):
     eps_l drawn from the auxiliary priors; it is a lower-bias estimate of
     the true log-marginal as L grows and never exceeds it in expectation.
     """
-    if int(L) < 1:
-        raise ConfigurationError("L must be at least 1")
+    _check_int("L", L, 1)
     _require_fully_noncentered(model)
     estimates, _ = _mmcl_rows(model, np.asarray(theta, dtype=np.float64),
-                              _single_point(model, data), int(L), rng,
+                              _single_point(model, data), L, rng,
                               want_grad=False)
     return float(estimates[0])
 
@@ -248,11 +245,10 @@ def mmcl_gradient(model, theta, data, L, rng):
     same generator state, and finite differences under a reused seed
     reproduce it to first order.
     """
-    if int(L) < 1:
-        raise ConfigurationError("L must be at least 1")
+    _check_int("L", L, 1)
     _require_fully_noncentered(model)
     _, grad = _mmcl_rows(model, np.asarray(theta, dtype=np.float64),
-                         _single_point(model, data), int(L), rng,
+                         _single_point(model, data), L, rng,
                          want_grad=True)
     return grad
 
@@ -265,19 +261,18 @@ def marginal_log_likelihood(model, theta, data, L, seed, block=None):
     Datapoints are processed in blocks of ``block`` points, by default
     sized to keep about 20000 rows per evaluation.
     """
-    if int(L) < 1:
-        raise ConfigurationError("L must be at least 1")
-    if block is not None and int(block) < 1:
-        raise ConfigurationError("block must be at least 1")
+    _check_int("L", L, 1)
+    if block is not None:
+        _check_int("block", block, 1)
     _require_fully_noncentered(model)
     data, n = _check_dataset(model, data)
     theta = np.asarray(theta, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    block = max(1, 20_000 // int(L)) if block is None else int(block)
+    block = max(1, 20_000 // L) if block is None else block
     total = 0.0
     for lo in range(0, n, block):
         x_block = {i: v[lo:lo + block] for i, v in data.items()}
-        estimates, _ = _mmcl_rows(model, theta, x_block, int(L), rng,
+        estimates, _ = _mmcl_rows(model, theta, x_block, L, rng,
                                   want_grad=False)
         total += float(estimates.sum())
     return total / n
@@ -296,12 +291,13 @@ class McemChains:
     system: str
 
 
-def _init_chains(model, theta, n, step_size, parameterization, plan, rng):
+def _init_chains(model, sample_model, theta, n, step_size, plan, rng):
+    """Prior draws for every datapoint's chain, in ``sample_model``'s
+    coordinates: the noise of ``plan`` unless it is ``model`` itself."""
     draw = graph.ancestral_sample(model, theta, rng, size=n)
-    if parameterization == "dncp":
-        from .reparam import apply_plan, eps_from_z
+    if sample_model is not model:
         evals = eps_from_z(model, plan, draw, theta)
-        coords = graph.pack_coords(apply_plan(model, plan), evals)
+        coords = graph.pack_coords(sample_model, evals)
         system = "eps"
     else:
         coords = graph.pack_coords(model, draw)
@@ -384,7 +380,6 @@ def mcem_iteration(model, theta, data, hmc_config, e_step_samples, opt_state,
     theta = np.asarray(theta, dtype=np.float64)
     sample_model = model
     if parameterization == "dncp":
-        from .reparam import apply_plan, full_dncp_plan
         if plan is None:
             plan = full_dncp_plan(model)
         sample_model = apply_plan(model, plan)
@@ -395,8 +390,8 @@ def mcem_iteration(model, theta, data, hmc_config, e_step_samples, opt_state,
         )
     data, n = _check_dataset(model, data)
     if chains is None:
-        chains = _init_chains(model, theta, n, hmc_config.step_size,
-                              parameterization, plan, rng)
+        chains = _init_chains(model, sample_model, theta, n,
+                              hmc_config.step_size, plan, rng)
     target = _DatasetPosterior(sample_model, theta, data)
     samples, chains = _estep(target, chains, hmc_config,
                              int(e_step_samples), int(thin), rng)
@@ -428,10 +423,8 @@ class TrainConfig:
     theta0: object = None
 
     def __post_init__(self):
-        if int(self.iterations) < 1:
-            raise ConfigurationError("iterations must be at least 1")
-        if int(self.eval_every) < 1:
-            raise ConfigurationError("eval_every must be at least 1")
+        for name in ("iterations", "eval_every", "l_eval"):
+            _check_int(name, getattr(self, name), 1)
 
 
 @dataclass(frozen=True)
@@ -457,7 +450,6 @@ def train(method, model, train_data, test_data, schedule, plan=None):
         raise ConfigurationError(
             f"method must be 'mmcl' or 'mcem', got {method!r}"
         )
-    from .reparam import apply_plan, full_dncp_plan
     if plan is None:
         plan = full_dncp_plan(model)
     nc_model = apply_plan(model, plan)
@@ -478,7 +470,7 @@ def train(method, model, train_data, test_data, schedule, plan=None):
         return TraceRow(it, tr, te, theta.copy())
 
     trace = [evaluate(0, theta)]
-    for it in range(1, int(schedule.iterations) + 1):
+    for it in range(1, schedule.iterations + 1):
         if method == "mmcl":
             order = rng.permutation(n)
             bs = schedule.mmcl.batch_size

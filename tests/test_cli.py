@@ -140,6 +140,15 @@ class TestExitCodes:
         assert "config error" in err and "gen_dims" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("args", [["sample"], ["experiment", "lds"],
+                                      ["analyze"]])
+    def test_negative_seed(self, tmp_path, capsys, args):
+        assert run([*args, "--seed", "-13",
+                    "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "seed" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, capsys):
         assert run(["analyze", "--config", "/no/such.yaml"]) == 2
         assert "config error" in capsys.readouterr().err

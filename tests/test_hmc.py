@@ -387,16 +387,24 @@ class TestRunChain:
 
 
 class TestMixture:
-    def test_degenerate_weights_reproduce_pure_chains(self):
-        model, theta, data, _, _ = lds_problem()
+    @pytest.mark.parametrize("problem, seeds", [
+        (lambda: lds_problem()[:3], (7,)),
+        (dbn_problem, (101, 202, 303))], ids=["lds", "dbn"])
+    def test_degenerate_weights_reproduce_pure_chains(self, problem, seeds):
+        model, theta, data = problem()
         cfg = HmcConfig(step_size=0.3, burn_in=150, samples=400, seed=7)
         for par, rho in (("cp", 1.0), ("dncp", 0.0)):
-            pure = run_chains(model, theta, data, cfg, parameterization=par)[0]
-            mix = run_chains(model, theta, data, cfg, parameterization="mix",
-                             mix_rho=rho)[0]
-            assert np.array_equal(pure.draws, mix.draws)
-            assert np.array_equal(pure.accept_trace, mix.accept_trace)
-            assert np.all(mix.system_trace == par)
+            pures = run_chains(model, theta, data, cfg, parameterization=par,
+                               seeds=seeds)
+            mixes = run_chains(model, theta, data, cfg,
+                               parameterization="mix", mix_rho=rho,
+                               seeds=seeds)
+            for pure, mix in zip(pures, mixes):
+                assert np.array_equal(pure.draws, mix.draws)
+                assert np.array_equal(pure.accept_trace, mix.accept_trace)
+                assert np.array_equal(pure.step_trace, mix.step_trace)
+                assert np.all(mix.system_trace == par)
+                assert pure.final_step_sizes == mix.final_step_sizes
 
     @pytest.mark.parametrize("rho", [np.nan, 1.5, -0.1, np.inf, "0.5",
                                      None, True, False])

@@ -130,6 +130,20 @@ class TestMmclEstimate:
                           {"x": np.array([0.0])}, 0,
                           np.random.default_rng(0))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"L": "3"}, {"L": 2.5}, {"L": True}, {"L": 3, "batch_size": 1.5},
+        {"L": 3, "seed": -1}, {"L": 3, "seed": 1.0}])
+    def test_config_takes_integers_only(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            MmclConfig(**kwargs)
+
+    @pytest.mark.parametrize("fn", [mmcl_estimate, mmcl_gradient])
+    @pytest.mark.parametrize("L", [2.5, "3", True])
+    def test_draws_must_be_an_integer(self, fn, L):
+        with pytest.raises(ConfigurationError, match="L must"):
+            fn(noncentered_toy(), np.zeros(1), {"x": np.array([0.0])}, L,
+               np.random.default_rng(0))
+
     def test_requires_fully_noncentered_model(self):
         with pytest.raises(ConfigurationError):
             mmcl_estimate(toy_model(), np.zeros(1), {"x": np.array([0.0])},
@@ -224,8 +238,10 @@ class TestDatasetHelpers:
         assert a == b
 
     @pytest.mark.parametrize("L,block", [(0, None), (-3, None), (10, 0),
-                                         (10, -1), (0, 5)])
-    def test_draws_and_block_must_be_positive(self, L, block):
+                                         (10, -1), (0, 5), (2.5, None),
+                                         ("3", None), (True, None),
+                                         (10, 2.5), (10, True)])
+    def test_draws_and_block_must_be_positive_integers(self, L, block):
         nc = noncentered_toy()
         data = {"x": np.zeros((4, 1))}
         with pytest.raises(ConfigurationError):
@@ -383,6 +399,13 @@ class TestTrain:
                                theta0=np.zeros(1))
         trace = train("mcem", model, tr, te, schedule)
         assert abs(trace[-1].train_log_lik - best) < 0.1
+
+    @pytest.mark.parametrize("name", ["iterations", "eval_every", "l_eval"])
+    @pytest.mark.parametrize("value", [0, 2.5, True, "2"])
+    def test_schedule_counts_must_be_positive_integers(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            TrainConfig(**{"iterations": 1, "learning_rate": 0.1,
+                           "mmcl": MmclConfig(L=5), name: value})
 
     def test_rejects_unknown_method(self):
         model = toy_model()
