@@ -21,6 +21,7 @@ from scipy.special import softmax
 from . import autodiff as ad
 from . import graph
 from . import hmc
+from . import reparam
 from .errors import (
     ConfigurationError,
     EmptyESample,
@@ -28,7 +29,6 @@ from .errors import (
     ShapeError,
 )
 from .graph import _check_int
-from .reparam import apply_plan, eps_from_z, full_dncp_plan
 
 _AUX_FAMILIES = ("std_normal_aux", "uniform_aux")
 
@@ -296,7 +296,7 @@ def _init_chains(model, sample_model, theta, n, step_size, plan, rng):
     coordinates: the noise of ``plan`` unless it is ``model`` itself."""
     draw = graph.ancestral_sample(model, theta, rng, size=n)
     if sample_model is not model:
-        evals = eps_from_z(model, plan, draw, theta)
+        evals = reparam.eps_from_z(model, plan, draw, theta)
         coords = graph.pack_coords(sample_model, evals)
         system = "eps"
     else:
@@ -381,8 +381,8 @@ def mcem_iteration(model, theta, data, hmc_config, e_step_samples, opt_state,
     sample_model = model
     if parameterization == "dncp":
         if plan is None:
-            plan = full_dncp_plan(model)
-        sample_model = apply_plan(model, plan)
+            plan = reparam.full_dncp_plan(model)
+        sample_model = reparam.apply_plan(model, plan)
     elif parameterization != "cp":
         raise ConfigurationError(
             f"parameterization must be 'cp' or 'dncp', got "
@@ -451,8 +451,8 @@ def train(method, model, train_data, test_data, schedule, plan=None):
             f"method must be 'mmcl' or 'mcem', got {method!r}"
         )
     if plan is None:
-        plan = full_dncp_plan(model)
-    nc_model = apply_plan(model, plan)
+        plan = reparam.full_dncp_plan(model)
+    nc_model = reparam.apply_plan(model, plan)
     train_checked, n = _check_dataset(model, train_data)
     rng = np.random.default_rng(schedule.mmcl.seed)
     if schedule.theta0 is None:
