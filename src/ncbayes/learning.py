@@ -423,7 +423,8 @@ class TrainConfig:
     theta0: object = None
 
     def __post_init__(self):
-        for name in ("iterations", "eval_every", "l_eval"):
+        for name in ("iterations", "eval_every", "l_eval", "e_step_samples",
+                     "thin"):
             _check_int(name, getattr(self, name), 1)
 
 

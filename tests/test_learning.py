@@ -241,7 +241,7 @@ class TestDatasetHelpers:
                                          (10, -1), (0, 5), (2.5, None),
                                          ("3", None), (True, None),
                                          (10, 2.5), (10, True)])
-    def test_draws_and_block_must_be_positive_integers(self, L, block):
+    def test_draws_and_block_must_be_positive(self, L, block):
         nc = noncentered_toy()
         data = {"x": np.zeros((4, 1))}
         with pytest.raises(ConfigurationError):
@@ -400,7 +400,8 @@ class TestTrain:
         trace = train("mcem", model, tr, te, schedule)
         assert abs(trace[-1].train_log_lik - best) < 0.1
 
-    @pytest.mark.parametrize("name", ["iterations", "eval_every", "l_eval"])
+    @pytest.mark.parametrize("name", ["iterations", "eval_every", "l_eval",
+                                      "e_step_samples", "thin"])
     @pytest.mark.parametrize("value", [0, 2.5, True, "2"])
     def test_schedule_counts_must_be_positive_integers(self, name, value):
         with pytest.raises(ConfigurationError, match=name):
