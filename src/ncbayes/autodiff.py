@@ -23,13 +23,17 @@ of ``(name, shape)`` pairs, see :func:`evaluate_with_gradient`).  The
 program reads each as a view of that array, reshaped to the input's
 shape when it has other than one axis; a ``stack`` of 1-D inputs of one
 width as one reshaped view when they lie end to end (else as one
-gather).  It writes their adjoints, flattened, into one flat gradient by
-one rule: the gradient starts as zeros and every contribution is added
-in place where the backward pass reaches it, with one slice (or index)
-add per stacked adjoint.  Every coordinate so takes its contributions in the
-unpacked program's order, and as ``0.0 + x == x`` both programs give the
-same bits -- save that a coordinate whose every contribution is ``-0.0``
-reads ``+0.0``.
+gather).  It returns their adjoints, flattened, as one flat gradient.
+When no packed input is read through a stack or a run of scaled inputs
+(below), each input sums its adjoint in a local of its own, ``0.0`` plus
+its first contribution and then each next one where the backward pass
+reaches it, and one ``np.concatenate`` in layout order builds the
+gradient, with zeros for inputs the root does not reach.  Otherwise the
+gradient starts as zeros and every contribution is added in place, with
+one slice (or index) add per stacked adjoint.  Either way every
+coordinate takes its contributions in the unpacked program's order, and
+as ``0.0 + x == x`` both programs give the same bits -- save that a
+coordinate whose every contribution is ``-0.0`` reads ``+0.0``.
 
 Bound programs
 --------------
@@ -206,8 +210,9 @@ def bernoulli_log_pmf(x, logits) -> Expr:
 
     Evaluated as ``x*a - max(a, 0) - log1p(e)``, which equals
     ``x log sigmoid(a) + (1-x) log sigmoid(-a)``, with the adjoint's sigmoid
-    ``exp(min(a, 0)) / (1 + e)`` from the same ``e = exp(-|a|)`` (Maechler
-    2012); both stay finite for large logits of either sign.
+    ``where(a < 0, e, 1) / (1 + e)`` from the same ``e = exp(-|a|)``
+    (Maechler 2012), one exponential per entry; both stay finite for large
+    logits of either sign.
     """
     return Expr("bernoulliLogPmf", (as_expr(x), as_expr(logits)))
 
@@ -294,9 +299,13 @@ class _Writer:
     With a packed ``layout``, ``packed[name]`` is an input's (offset,
     shape) in the argument ``flat``.  ``stacked[i]`` holds the column
     offsets of a stack read from ``flat`` at once and ``read`` the nodes
-    that read a packed input as a view of its own.  Their adjoints are
-    added into the zeroed flat gradient ``grad`` by :meth:`contribute`;
-    ``scaled`` holds the members of runs of scaled inputs.
+    that read a packed input as a view of its own; ``scaled`` holds the
+    members of runs of scaled inputs.  :meth:`contribute` takes each
+    packed input's adjoint contributions.  With neither a stack nor a
+    run (``per_input``) it sums them in the local ``sums[name]`` and
+    :meth:`gather` concatenates those into the flat gradient ``grad``;
+    else it adds them into ``grad``, zeroed at the start of the backward
+    pass.
 
     With ``unit`` the seed is ones, else the argument ``seed``;
     ``pending`` holds the nodes whose adjoint is ones not yet written
@@ -331,6 +340,9 @@ class _Writer:
         self.stacked = {i: self._stacked(node) for i, node in enumerate(order)
                         if node.op == "stack"}
         self.scaled = self._scaled_runs()
+        self.per_input = bool(self.packed) and not self.scaled and all(
+            cols is None for cols in self.stacked.values())
+        self.sums = {}
         self.read, self.views = {len(order) - 1}, set()
         for i, kids in enumerate(self.kids):
             if self.stacked.get(i) is None and i not in self.scaled:
@@ -548,7 +560,7 @@ class _Writer:
             else:
                 self.live.append(any(self.live[j] for j in self.kids[i]))
         self.started = [False] * len(order)
-        if self.flat is not None:
+        if self.flat is not None and not self.per_input:
             self.emit(f"grad = np.zeros({self.flat})")
         r = self.index[id(root)]
         self.started[r] = True
@@ -634,7 +646,7 @@ class _Writer:
                       np.broadcast_shapes(ge, sa))
             e = self._spread(i, np.broadcast_shapes(sx, sa) == fa and sa == fx)
             self.add_to(ai, self.fold(
-                f"{e}({x} - np.exp(np.minimum({a}, 0.0)) / (1.0 + p{i}))",
+                f"{e}({x} - np.where({a} < 0.0, p{i}, 1.0) / (1.0 + p{i}))",
                 fa, sa))
             # d/dx of the log-mass is log sig(a) - log sig(-a) = a
             self.add_to(xi, self.fold(f"{e}{a}", fx, sx))
@@ -736,19 +748,31 @@ class _Writer:
     # -- the flat gradient of packed inputs ----------------------------------------
 
     def contribute(self, names, source, stacked):
-        """Add ``source`` into the flat gradient ``grad`` at the packed
-        inputs ``names``: one input, or the operands of a packed stack
-        (``source`` is then the stack's adjoint, ``(..., k, width)``).  An
-        input of other than one axis adds its adjoint flattened.
+        """Add ``source`` to the adjoint of the packed inputs ``names``:
+        one input, or the operands of a packed stack (``source`` is then
+        the stack's adjoint, ``(..., k, width)``).  An input of other than
+        one axis adds its adjoint flattened.
 
-        One ``+=`` per run of operands with no input twice, written where
-        the backward pass reaches it, so every coordinate takes its
-        contributions in the per-node program's order.
+        Per input, the first contribution starts its local sum as ``0.0 +
+        source`` and each next one adds to it.  Else one ``+=`` into the
+        flat gradient ``grad`` per run of operands with no input twice.
+        Either is written where the backward pass reaches it, so every
+        coordinate takes its contributions in the per-node program's
+        order.
         """
         shape = self.packed[names[0]][1]
         width = math.prod(shape)
         if len(shape) != 1:
             source = f"({source}).reshape({self.flat[:-1] + (width,)})"
+        if self.per_input:
+            (name,) = names
+            total = self.sums.get(name)
+            if total is None:
+                total = self.sums[name] = f"B{self.packed[name][0]}"
+                self.emit(f"{total} = 0.0 + ({source})")
+            else:
+                self.emit(f"{total} = {total} + ({source})")
+            return
         a = 0
         while a < len(names):
             b = a + 1
@@ -769,6 +793,16 @@ class _Writer:
                     cols, np.arange(width)).reshape(-1), "cx")
             self.emit(f"grad[..., {target}] += {part}")
             a = b
+
+    def gather(self):
+        """With per-input sums, write ``grad`` as their concatenation in
+        layout order, zeros for the inputs the root does not reach."""
+        if not self.per_input:
+            return
+        parts = [self.sums.get(name) or self.const(
+            lo, np.zeros(self.flat[:-1] + (math.prod(shape),)), "zero")
+            for name, (lo, shape) in self.packed.items()]
+        self.emit(f"grad = np.concatenate([{', '.join(parts)}], axis=-1)")
 
     def _fuse(self, i):
         """Copy scaled input i's adjoint into its run's buffer; the run's
@@ -850,6 +884,7 @@ def _generate(programs, root, shapes, wrt, gradient, layout, unit=False):
         writer.backward(root, wrt)
         value = f"{value}, {writer.adjoint_dict()}"
         if layout is not None:
+            writer.gather()
             value += ", grad"
         if not unit:
             args.append("seed")
@@ -979,11 +1014,11 @@ def evaluate_with_gradient(root: Expr, bindings: dict, seed_adjoint=None,
         ``value`` is the root value; ``grads`` maps each input name to the
         adjoint array, shaped like the bound value.  Inputs sharing a name
         have their adjoints summed.  With ``packed``, ``packed`` is the
-        adjoint of ``values`` in one array of its shape: zeros to which
-        each contribution is added in the unpacked program's order, so
-        every entry has the bits of the unpacked program's adjoint (an
-        all ``-0.0`` entry reads ``+0.0``) and names the root does not
-        reach stay zero.
+        adjoint of ``values`` in one array of its shape: each entry is
+        ``0.0`` plus its contributions, added in the unpacked program's
+        order, so every entry has the bits of the unpacked program's
+        adjoint (an all ``-0.0`` entry reads ``+0.0``) and names the root
+        does not reach are zero.
     """
     if isinstance(root, Bound):
         if seed_adjoint is not root.seed or bindings or wrt is not None:

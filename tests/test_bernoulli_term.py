@@ -1,8 +1,9 @@
 """The Bernoulli term's softplus and sigmoid, taken from one ``exp(-|a|)``.
 
 The generated programs write ``x*a - softplus(a)`` with the softplus
-``max(a, 0) + log1p(e)`` and the adjoint's sigmoid ``exp(min(a, 0)) /
-(1 + e)``, ``e = exp(-|a|)``.  Against ``np.logaddexp(0, a)`` and
+``max(a, 0) + log1p(e)`` and the adjoint's sigmoid ``where(a < 0, e, 1) /
+(1 + e)``, ``e = exp(-|a|)``, one exponential per term in forward and
+gradient programs alike.  Against ``np.logaddexp(0, a)`` and
 ``expit(a)`` both lie within 4 ULP.  Below ``a = -708`` ``expit`` flushes
 its subnormal results to zero where the new sigmoid keeps them, so there
 the bound is an absolute difference below the smallest normal double.
@@ -152,4 +153,5 @@ def test_programs_take_one_exp_per_term(model):
         source = "".join(linecache.getlines(program.__code__.co_filename))
         assert source.startswith("def program")
         assert "logaddexp" not in source and "expit" not in source
+        assert source.count("np.exp(") == terms
         assert source.count("np.exp(-np.abs(") == terms

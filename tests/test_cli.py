@@ -1,6 +1,7 @@
 """Command line surface: subcommands, overrides, exit codes."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -40,6 +41,21 @@ class TestAnalyze:
 
 
 class TestSample:
+    def test_defaults_keep_their_bytes(self, tmp_path):
+        """``ncbayes sample`` at its defaults: a cp chain on the lds."""
+        assert run(["sample", "--out", str(tmp_path)]) == 0
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes())
+               .hexdigest() for name in ("results.csv", "summary.json",
+                                         "manifest.json")}
+        assert got == {
+            "results.csv": "d9503f3b0ebb8cdda09d0425c7715da022f50c227034"
+                           "ace1447c715624270f55",
+            "summary.json": "8cc9b5562d7c60f7dbf2318fe14f4e11e88dab93a4a5"
+                            "29fc1864425026fb9084",
+            "manifest.json": "3ea00707b5d8c4e0cf7ac839fa3684bc45e7aad95d69"
+                             "509cb39d02cc430ce483",
+        }
+
     def test_lds_mixture_chain(self, tmp_path):
         cfg = tmp_path / "c.yaml"
         cfg.write_text("""

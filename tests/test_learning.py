@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import logsumexp
+from scipy.special import logsumexp, softmax
 
-from ncbayes import learning
+from ncbayes import graph, learning
 from ncbayes.errors import (
     ConfigurationError,
     EmptyESample,
     ShapeError,
 )
+from ncbayes.experiments import two_layer_model
 from ncbayes.graph import build_model
 from ncbayes.hmc import HmcConfig
 from ncbayes.learning import (
@@ -258,6 +259,25 @@ class TestDatasetHelpers:
                 nc, np.zeros(1), data, 30, seed=4, block=block
             ) == pytest.approx(whole, rel=1e-12)
 
+    def test_chunks_equal_one_unchunked_block(self, monkeypatch):
+        # two latents, 37 points at L = 150: 5,550 rows, no multiple of a
+        # chunk, so the last chunk is short; the mean keeps its bits
+        model = two_layer_model((2, 3), 5)
+        nc = apply_plan(model, full_dncp_plan(model))
+        theta = graph.random_params(model, np.random.default_rng(11))
+        data = {"x": np.random.default_rng(12).standard_normal((37, 5))}
+        n, L = 37, 150
+        assert (n * L) % learning.EVAL_CHUNK_ROWS
+        chunked = marginal_log_likelihood(nc, theta, data, L, seed=5)
+        for rows in (n * L, 1, 1000):
+            monkeypatch.setattr(learning, "EVAL_CHUNK_ROWS", rows)
+            assert marginal_log_likelihood(nc, theta, data, L,
+                                           seed=5) == chunked
+        sample = learning._draw_sample(nc, data, L, 5)
+        estimates, _ = learning._block_estimates(nc, theta, sample.data,
+                                                 sample.eps, L, False)
+        assert chunked == float(estimates.sum()) / n
+
     def test_dataset_validation(self):
         nc = noncentered_toy()
         with pytest.raises(ShapeError):
@@ -323,6 +343,17 @@ class TestMcem:
             return np.array(out)
 
         assert np.array_equal(run(), run())
+
+    @pytest.mark.parametrize("e_step_samples,thin", [
+        (2.5, 2), (True, 2), ("5", 2), (-1, 2), (5, 1.7), (5, True),
+        (5, 0)])
+    def test_counts_must_be_integers(self, e_step_samples, thin):
+        model = toy_model()
+        with pytest.raises(ConfigurationError):
+            mcem_iteration(model, np.zeros(1), self.make_data(10, 0.5, 0),
+                           HmcConfig(step_size=0.3, leapfrog_steps=10),
+                           e_step_samples, adagrad_init(1, 0.1),
+                           np.random.default_rng(0), thin=thin)
 
     def test_iterations_climb_toward_the_mle(self):
         model = toy_model()
@@ -408,6 +439,30 @@ class TestTrain:
             TrainConfig(**{"iterations": 1, "learning_rate": 0.1,
                            "mmcl": MmclConfig(L=5), name: value})
 
+    @pytest.mark.parametrize("method", ["mmcl", "mcem"])
+    def test_trace_equals_marginal_log_likelihood_at_each_theta(self,
+                                                                method):
+        """The trace evaluates each split's one fixed sample at every
+        traced theta, as the seeded estimate of that theta does."""
+        model = two_layer_model((2, 3), 5)
+        nc = apply_plan(model, full_dncp_plan(model))
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((50, 5))
+        tr, te = {"x": x[:40]}, {"x": x[40:]}
+        schedule = TrainConfig(
+            iterations=4, learning_rate=0.2,
+            mmcl=MmclConfig(L=4, batch_size=8, seed=3),
+            hmc=HmcConfig(step_size=0.2, leapfrog_steps=4, seed=3),
+            e_step_samples=2, l_eval=30, eval_every=2, eval_seed=21)
+        trace = train(method, model, tr, te, schedule)
+        assert [row.iteration for row in trace] == [0, 2, 4]
+        assert not np.array_equal(trace[0].theta, trace[-1].theta)
+        for row in trace:
+            assert row.train_log_lik == marginal_log_likelihood(
+                nc, row.theta, tr, 30, 21)
+            assert row.test_log_lik == marginal_log_likelihood(
+                nc, row.theta, te, 30, 22)
+
     def test_rejects_unknown_method(self):
         model = toy_model()
         tr, te = self.make_split(10, 0.0, 7)
@@ -442,3 +497,13 @@ def test_logsumexp_rows_is_scipys_bit_for_bit(w):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         got = learning._logsumexp_rows(w)
     np.testing.assert_array_equal(got, logsumexp(w, axis=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=log_weight_blocks())
+def test_softmax_seed_is_scipys_bit_for_bit(w):
+    b, L = w.shape
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        got = learning._SoftmaxSeed(b, L)(w.reshape(-1))
+        want = softmax(w, axis=1).reshape(-1) / b
+    np.testing.assert_array_equal(got, want)
