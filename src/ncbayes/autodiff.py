@@ -970,10 +970,11 @@ class GradientRecord:
     packed: object = None
 
 
-def evaluate(root: Expr, bindings: dict):
+def evaluate(root: Expr, bindings: dict, packed=None):
     """Forward pass only; returns a float for scalar-valued expressions and
-    a tuple for :func:`outputs`."""
-    function, args = _prepare(root, bindings, None, False)
+    a tuple for :func:`outputs`.  ``packed`` binds inputs as slices of one
+    array, as in :func:`evaluate_with_gradient`."""
+    function, args = _prepare(root, bindings, None, False, packed)
     return function(*args)
 
 

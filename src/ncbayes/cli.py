@@ -116,8 +116,7 @@ def _sample(args, raw):
             np.random.default_rng(cfg.seed + 7))
     draw = graph.ancestral_sample(model, theta,
                                   np.random.default_rng(cfg.seed + 12))
-    data = {i: draw[i] for i in model.nodes
-            if model.nodes[i].kind == "observed"}
+    data = {i: draw[i] for i in model.observed_ids}
     sampler = dataclasses.replace(cfg.sampler, seed=cfg.seed)
     result = hmc.run_chains(model, theta, data, sampler,
                             parameterization=cfg.parameterization,

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from .errors import ConstantSeries, NonFinite, ShapeError
+from .graph import _check_int
 
 
 def autocorrelation(series, max_lag) -> np.ndarray:
@@ -24,11 +25,12 @@ def autocorrelation(series, max_lag) -> np.ndarray:
     bias for guaranteed positive-definiteness, which the pairwise
     truncation rule relies on.  A series holding NaN or an infinity (or
     spanning more than the float range) raises :class:`NonFinite`.
+    ``max_lag`` must be an integer from 0 to the series length less one.
     """
+    _check_int("max_lag", max_lag, 0)
     x = np.asarray(series, dtype=np.float64).ravel()
     n = x.size
-    max_lag = int(max_lag)
-    if max_lag < 0 or max_lag >= n:
+    if max_lag >= n:
         raise ShapeError(f"max_lag {max_lag} outside [0, {n - 1}]")
     spread = np.ptp(x)
     if not np.isfinite(spread):
@@ -95,26 +97,27 @@ def ess_report(draws, max_lag=100) -> EssReport:
     """Summarize a chain's draws, one ESS per coordinate.
 
     ``draws`` is (N,) or (N, d).  The stored autocorrelation matrix is
-    truncated to ``max_lag`` rows (capped at N - 1); the ESS itself always
-    uses every available lag.
+    truncated to ``max_lag`` rows, an integer capped at N - 1; the ESS
+    itself always uses every available lag.
     """
+    _check_int("max_lag", max_lag, 0)
     a = np.asarray(draws, dtype=np.float64)
     if a.ndim == 1:
         a = a[:, None]
     if a.ndim != 2:
         raise ShapeError("draws must be a vector or a matrix of rows")
     n, d = a.shape
-    max_lag = min(int(max_lag), n - 1)
+    if n == 0:
+        raise ShapeError(f"max_lag {max_lag} outside [0, {n - 1}]")
+    if d == 0:
+        raise ShapeError("draws have no coordinates")
+    max_lag = min(max_lag, n - 1)
     # one FFT per coordinate serves its ESS and its stored autocorrelation
     ess, ac = np.empty(d), []
     for j in range(d):
         rho = _all_lags(a[:, j])
         ess[j] = _ess(rho)
         ac.append(rho[:max_lag + 1])
-    if max_lag < 0:
-        raise ShapeError(f"max_lag {max_lag} outside [0, {n - 1}]")
-    if d == 0:
-        raise ShapeError("draws have no coordinates")
     ac = np.column_stack(ac)
     return EssReport(
         per_coordinate_ess=ess,

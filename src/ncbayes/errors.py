@@ -41,8 +41,9 @@ class ZeroScale(ConfigurationError):
     """A zero or negative scale was fixed where a density is required."""
 
 
-class UnboundInput(ConfigurationError):
-    """An expression input or node value was not supplied."""
+class UnboundInput(ShapeError):
+    """An expression input or node value was not supplied; under the one
+    rule for node values, a :class:`ShapeError` of the values given."""
 
 
 # -- reparameterization ----------------------------------------------------

@@ -300,8 +300,7 @@ def _dbn_ess(config):
             np.random.default_rng(config.seed + 7))
         draw = graph.ancestral_sample(model, theta,
                                       np.random.default_rng(config.seed + 12))
-        data = {i: draw[i] for i in model.nodes
-                if model.nodes[i].kind == "observed"}
+        data = {i: draw[i] for i in model.observed_ids}
         cell = {"log_sigma_z": log_sigma_z}
         for par in ("cp", "dncp", "mix"):
             results = hmc.run_chains(model, theta, data, config.sampler,

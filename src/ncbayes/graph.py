@@ -586,26 +586,63 @@ def _check_theta(model, theta):
     return theta
 
 
-def _bindings(model, compiled, theta, assignment):
-    bindings = {}
-    for node_id in compiled.value_ids:
-        node = model.nodes[node_id]
+def _node_values(model, values, ids):
+    """The values of nodes ``ids`` as float arrays, and their row count.
+
+    The one rule for posterior data, learner datasets and full
+    assignments: every id needs a value (:class:`UnboundInput`); a
+    scalar is a vector of length 1; a value is a ``(dim,)`` vector shared
+    by every row or a ``(rows, dim)`` matrix, all matrices of one
+    ``rows`` (None without one); any other shape, and a key outside
+    ``ids``, raise :class:`ShapeError`.
+    """
+    values = dict(values)
+    out, rows = {}, None
+    for node_id in ids:
         try:
-            value = assignment[node_id]
+            value = np.asarray(values.pop(node_id), dtype=np.float64)
         except KeyError:
-            raise UnboundInput(f"assignment is missing node '{node_id}'") from None
-        value = np.asarray(value, dtype=np.float64)
+            raise UnboundInput(f"no value for node '{node_id}'") from None
         if value.ndim == 0:
             value = value.reshape(1)
-        if value.shape[-1] != node.dim or value.ndim > 2:
+        dim = model.nodes[node_id].dim
+        if value.ndim > 2 or value.shape[-1] != dim:
             raise ShapeError(
-                f"node '{node_id}' expects vectors of length {node.dim}, "
-                f"got shape {value.shape}"
+                f"node '{node_id}' takes a vector of length {dim} or one "
+                f"such row per datapoint, got shape {value.shape}"
             )
-        bindings[node_id] = value
-    env = model.layout.unpack(theta)
-    for name in model.layout:
-        bindings[f"theta:{name}"] = env[name]
+        if value.ndim == 2:
+            if rows not in (None, value.shape[0]):
+                raise ShapeError(
+                    f"node '{node_id}' has {value.shape[0]} rows where "
+                    f"other values have {rows}"
+                )
+            rows = value.shape[0]
+        out[node_id] = value
+    if values:
+        raise ShapeError(f"keys {sorted(map(str, values))} name no node "
+                         f"that takes a value here")
+    return out, rows
+
+
+def _full_assignment(model, assignment):
+    """The compiled joint and the :func:`_node_values` of a full
+    assignment, less the deterministic nodes, which the joint recomputes."""
+    compiled = _compile(model)
+    kept = {i: v for i, v in dict(assignment).items()
+            if i not in model.nodes or model.nodes[i].kind != DETERMINISTIC}
+    return (compiled, *_node_values(model, kept, compiled.value_ids))
+
+
+def _bindings(model, compiled, theta, assignment):
+    """The :func:`_node_values` of ``compiled``'s nodes in ``assignment``
+    (other keys are ignored) and ``theta:`` views of each θ block: the
+    inputs of ``compiled.root`` unpacked, for reference programs."""
+    ids = compiled.value_ids
+    bindings, _ = _node_values(
+        model, {i: v for i, v in assignment.items() if i in ids}, ids)
+    bindings.update((f"theta:{name}", v)
+                    for name, v in model.layout.unpack(theta).items())
     return bindings
 
 
@@ -638,19 +675,22 @@ def _mask_bad_rows(checks, bindings):
 def log_joint(model, theta, assignment):
     """Joint log-density of a full assignment under parameters ``theta``.
 
-    Deterministic nodes are recomputed from their parents inside the
-    compiled expression; any values supplied for them are ignored.  Returns
+    Every latent, auxiliary and observed node takes a value by the one
+    rule of :func:`_node_values`: a ``(dim,)`` vector shared by every row
+    or a ``(rows, dim)`` matrix, all matrices of one row count, and no key
+    for a node that does not exist.  Values given for deterministic nodes
+    are ignored: the compiled expression recomputes them.  Returns
     ``-inf`` when a value lies outside its family's support, and raises
     :class:`NonFinite` if the result is NaN with in-support inputs.
     Row-batched assignments give a vector of per-row log-densities.
     """
     theta = _check_theta(model, theta)
-    compiled = _compile(model)
-    bindings = _bindings(model, compiled, theta, assignment)
-    bad = _mask_bad_rows(compiled.support_checks, bindings)
+    compiled, values, _ = _full_assignment(model, assignment)
+    bad = _mask_bad_rows(compiled.support_checks, values)
     if np.ndim(bad) == 0 and bad:
         return -np.inf
-    value = ad.evaluate(compiled.root, bindings)
+    value = ad.evaluate(compiled.root, values,
+                        packed=(model.layout.packed, theta))
     if np.any(bad):
         value = np.where(bad, -np.inf, value)
     if np.any(np.isnan(value)):
@@ -666,42 +706,40 @@ def grad_log_joint_latents(model, theta, assignment):
     :meth:`LatentPosterior.value_and_grad` with the observed values of
     ``assignment`` as data, so row i of a batch equals the call on row i
     alone: out-of-support rows give ``-inf`` with zero gradients, and an
-    out-of-support observed value raises :class:`DomainError`.  Free
-    values are either all ``(dim,)`` points or all ``(rows, dim)``
-    batches; observed values may be shared or given per row.
+    out-of-support observed value raises :class:`DomainError`.  Values
+    follow the one rule of :func:`log_joint`; beyond it, free values are
+    either all ``(dim,)`` points or all ``(rows, dim)`` batches.
     """
     theta = _check_theta(model, theta)
-    bindings = _bindings(model, _compile(model), theta, assignment)
-    if len({bindings[i].shape[:-1] for i in model.free_ids}) > 1:
+    _, values, _ = _full_assignment(model, assignment)
+    if len({values[i].shape[:-1] for i in model.free_ids}) > 1:
         raise ShapeError(
             "free values must be all single points or all batches of the "
             "same number of rows"
         )
     target = LatentPosterior(
-        model, theta, {i: bindings[i] for i in model.observed_ids}
+        model, theta, {i: values[i] for i in model.observed_ids}
     )
-    value, grad = target.value_and_grad(pack_coords(model, bindings))
+    value, grad = target.value_and_grad(pack_coords(model, values))
     return value, unpack_coords(model, grad)
 
 
 def grad_log_joint_params(model, theta, assignment):
     """Log-joint and its gradient with respect to the flat parameter vector;
-    a row batch gives per-row values and the gradient summed over rows."""
+    a row batch gives per-row values and the gradient summed over rows.
+    Values follow the one rule of :func:`log_joint`."""
     theta = _check_theta(model, theta)
-    compiled = _compile(model)
-    bindings = _bindings(model, compiled, theta, assignment)
-    rows = [bindings[i].shape[0] for i in compiled.value_ids
-            if bindings[i].ndim == 2]
-    return _param_gradient(model, compiled, theta, bindings,
-                           np.ones(max(rows)) if rows else None)
+    compiled, values, rows = _full_assignment(model, assignment)
+    return _param_gradient(model, compiled, theta, values,
+                           None if rows is None else np.ones(rows))
 
 
-def _param_gradient(model, compiled, theta, bindings, seed):
-    """Value of ``compiled.root`` at ``bindings`` and its gradient with
+def _param_gradient(model, compiled, theta, values, seed):
+    """Value of ``compiled.root`` at node ``values`` and its gradient with
     respect to the flat parameter vector ``theta``, which goes to the tape
     packed; ``seed`` weights the rows of a batched root."""
     record = ad.evaluate_with_gradient(
-        compiled.root, bindings, seed_adjoint=seed, wrt=frozenset(),
+        compiled.root, values, seed_adjoint=seed, wrt=frozenset(),
         packed=(model.layout.packed, theta))
     return record.value, record.packed
 
@@ -720,11 +758,12 @@ class LatentPosterior:
     with zero gradient instead of raising: the sampler treats them as
     rejections.
 
-    Each observed value is either a ``(dim,)`` vector shared by every row
-    or an ``(n, dim)`` matrix giving row i its own datapoint, so one batch
-    runs one chain per datapoint; batches must then have ``n`` rows.  A
-    single ``(dim,)`` point against per-row data gives one value per
-    datapoint and the gradient summed over them.
+    ``data`` gives the observed nodes, and only them, values by the one
+    rule of :func:`_node_values`: a ``(dim,)`` vector shared by every row
+    or an ``(n, dim)`` matrix giving row i its own datapoint, all with the
+    same ``n``, so one batch runs one chain per datapoint; batches must
+    then have ``n`` rows.  A single ``(dim,)`` point against per-row data
+    gives one value per datapoint and the gradient summed over them.
     """
 
     def __init__(self, model, theta, data):
@@ -734,40 +773,12 @@ class LatentPosterior:
         self.slices, self.dim = coord_slices(model)
         self._layout = tuple((i, (model.nodes[i].dim,))
                              for i in model.free_ids)
-        self.rows, self._bound = None, {}
+        self._bound = {}
 
-        env = model.layout.unpack(self.theta)
-        bindings = {f"theta:{name}": env[name] for name in model.layout}
-        data = dict(data or {})
-        for node_id in self.compiled.value_ids:
-            if node_id in self.slices:
-                continue
-            node = model.nodes[node_id]
-            try:
-                value = np.asarray(data.pop(node_id), dtype=np.float64)
-            except KeyError:
-                raise UnboundInput(
-                    f"no observed value for node '{node_id}'"
-                ) from None
-            if value.ndim == 0:
-                value = value.reshape(1)
-            if value.shape[-1] != node.dim or value.ndim > 2:
-                raise ShapeError(
-                    f"observed node '{node_id}' expects a vector of length "
-                    f"{node.dim} or one such row per datapoint, got shape "
-                    f"{value.shape}"
-                )
-            if value.ndim == 2:
-                if self.rows not in (None, value.shape[0]):
-                    raise ShapeError(
-                        "observed values disagree on the number of rows"
-                    )
-                self.rows = value.shape[0]
-            bindings[node_id] = value
-        if data:
-            raise ShapeError(
-                f"data assigns non-observed nodes: {sorted(data)}"
-            )
+        bindings, self.rows = _node_values(model, data or {},
+                                           model.observed_ids)
+        bindings.update((f"theta:{name}", v)
+                        for name, v in model.layout.unpack(self.theta).items())
         self._bindings = bindings
 
         # observed values are checked once; free values on every call

@@ -12,6 +12,12 @@ the average complete-data log-density.  Both use Adagrad steps.
 The L-sample average is computed in log space with log-sum-exp; the plain
 average of likelihoods underflows already at modest data dimension.
 
+A dataset maps each observed node id to an ``(n, dim)`` matrix or a
+``(dim,)`` vector by the rule that posterior data and full assignments
+share (:func:`.graph._node_values`); vectors alone are one datapoint.
+Each entry point checks its dataset and θ once, then hands both to the
+tape as they are.
+
 Learning traces evaluate that average on each split under a fixed seed.
 :func:`train` draws each split's noise once and evaluates it at every
 traced parameter vector, so it holds n * L * (sum of the free nodes'
@@ -126,33 +132,17 @@ def _draw_noise(model, rows, rng, out=None):
 
 
 def _check_dataset(model, data):
-    """Validate a dataset mapping observed node ids to (n, dim) matrices."""
-    observed = [i for i in model.topo_order
-                if model.nodes[i].kind == "observed"]
-    data = dict(data)
-    n = None
-    out = {}
-    for node_id in observed:
-        try:
-            v = np.asarray(data.pop(node_id), dtype=np.float64)
-        except KeyError:
-            raise ShapeError(f"dataset is missing observed node "
-                             f"'{node_id}'") from None
-        if v.ndim == 1:
-            v = v[None, :]
-        if v.ndim != 2 or v.shape[1] != model.nodes[node_id].dim:
-            raise ShapeError(
-                f"dataset entry '{node_id}' must be (n, {model.nodes[node_id].dim}), "
-                f"got {v.shape}"
-            )
-        if n is None:
-            n = v.shape[0]
-        elif v.shape[0] != n:
-            raise ShapeError("dataset entries disagree on the number of rows")
-        out[node_id] = v
-    if data:
-        raise ShapeError(f"dataset assigns non-observed nodes: {sorted(data)}")
-    return out, n
+    """A dataset's values by :func:`graph._node_values` as ``(n, dim)``
+    matrices, and ``n``: vectors alone are one point, and a vector next
+    to matrices of several rows, or ``n = 0``, raises :class:`ShapeError`."""
+    values, n = graph._node_values(model, data, model.observed_ids)
+    if n is None:
+        n = 1
+    elif n != 1 and any(v.ndim == 1 for v in values.values()):
+        raise ShapeError("dataset entries disagree on the number of rows")
+    if n == 0:
+        raise ShapeError("dataset has no points")
+    return {i: np.atleast_2d(v) for i, v in values.items()}, n
 
 
 def _mmcl_rows(model, theta, x_block, L, rng, want_grad):
@@ -177,15 +167,15 @@ def _block_estimates(model, theta, x_block, eps, L, want_grad):
     """
     compiled = graph._compile(model, observed_only=True)
     b = next(iter(x_block.values())).shape[0] if x_block else 1
-    assignment = {i: np.repeat(v, L, axis=0) for i, v in x_block.items()}
-    assignment.update(eps)
-    bindings = graph._bindings(model, compiled, theta, assignment)
+    values = {i: np.repeat(v, L, axis=0) for i, v in x_block.items()}
+    values.update(eps)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if want_grad:
-            w, grad = graph._param_gradient(model, compiled, theta, bindings,
+            w, grad = graph._param_gradient(model, compiled, theta, values,
                                             _SoftmaxSeed(b, L))
         else:
-            w, grad = ad.evaluate(compiled.root, bindings), None
+            w, grad = ad.evaluate(compiled.root, values,
+                                  packed=(model.layout.packed, theta)), None
         w = np.atleast_1d(w).reshape(b, L)
         estimates = _logsumexp_rows(w) - np.log(L)
     if not np.all(np.isfinite(estimates)):
@@ -240,10 +230,15 @@ def _logsumexp_rows(w):
     return out
 
 
-def _single_point(model, data):
-    """Lift one datapoint's vectors to single-row matrices."""
-    return {i: np.atleast_1d(np.asarray(v, dtype=np.float64))[None, :]
-            for i, v in dict(data).items()}
+def _one_point(model, theta, data, L, rng, want_grad):
+    """:func:`_mmcl_rows` at the one datapoint of ``data``, all checked."""
+    theta = graph._check_theta(model, theta)
+    _check_int("L", L, 1)
+    _require_fully_noncentered(model)
+    data, n = _check_dataset(model, data)
+    if n != 1:
+        raise ShapeError(f"expected one datapoint, got {n}")
+    return _mmcl_rows(model, theta, data, L, rng, want_grad)
 
 
 def mmcl_estimate(model, theta, data, L, rng):
@@ -255,12 +250,7 @@ def mmcl_estimate(model, theta, data, L, rng):
     eps_l drawn from the auxiliary priors; it is a lower-bias estimate of
     the true log-marginal as L grows and never exceeds it in expectation.
     """
-    _check_int("L", L, 1)
-    _require_fully_noncentered(model)
-    estimates, _ = _mmcl_rows(model, np.asarray(theta, dtype=np.float64),
-                              _single_point(model, data), L, rng,
-                              want_grad=False)
-    return float(estimates[0])
+    return float(_one_point(model, theta, data, L, rng, False)[0][0])
 
 
 def mmcl_gradient(model, theta, data, L, rng):
@@ -271,12 +261,7 @@ def mmcl_gradient(model, theta, data, L, rng):
     same generator state, and finite differences under a reused seed
     reproduce it to first order.
     """
-    _check_int("L", L, 1)
-    _require_fully_noncentered(model)
-    _, grad = _mmcl_rows(model, np.asarray(theta, dtype=np.float64),
-                         _single_point(model, data), L, rng,
-                         want_grad=True)
-    return grad
+    return _one_point(model, theta, data, L, rng, True)[1]
 
 
 def marginal_log_likelihood(model, theta, data, L, seed, block=None):
@@ -289,9 +274,9 @@ def marginal_log_likelihood(model, theta, data, L, seed, block=None):
     are summed together; the evaluation runs in chunks of about
     ``EVAL_CHUNK_ROWS`` rows whatever the block.
     """
-    sample = _draw_sample(model, data, L, seed, block)
-    return _sample_log_likelihood(model, np.asarray(theta, dtype=np.float64),
-                                  sample)
+    theta = graph._check_theta(model, theta)
+    return _sample_log_likelihood(model, theta,
+                                  _draw_sample(model, data, L, seed, block))
 
 
 @dataclass(frozen=True)
@@ -395,6 +380,7 @@ def complete_data_gradient(model, theta, data, samples):
     of the n datapoints.  Returns the gradient of
     (1/n) sum_i (1/S) sum_s log p(x_i, z_i^(s); theta).
     """
+    theta = graph._check_theta(model, theta)
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 3:
         raise ShapeError("samples must be (S, n, dim)")
@@ -404,19 +390,11 @@ def complete_data_gradient(model, theta, data, samples):
     data, n_data = _check_dataset(model, data)
     if n_data != n:
         raise ShapeError("samples and dataset disagree on the number of rows")
-    compiled = graph._compile(model)
-    slices, total = graph.coord_slices(model)
-    if dim != total:
-        raise ShapeError(f"samples have {dim} coordinates, model has {total}")
-    rows = samples.reshape(S * n, dim)
-    assignment = {i: np.tile(v, (S, 1)) for i, v in data.items()}
-    for node_id, sl in slices.items():
-        assignment[node_id] = rows[:, sl]
-    theta = np.asarray(theta, dtype=np.float64)
-    bindings = graph._bindings(model, compiled, theta, assignment)
+    values = graph.unpack_coords(model, samples.reshape(S * n, dim))
+    values.update((i, np.tile(v, (S, 1))) for i, v in data.items())
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _, grad = graph._param_gradient(model, compiled, theta, bindings,
-                                        np.full(S * n, 1.0 / (S * n)))
+        _, grad = graph._param_gradient(model, graph._compile(model), theta,
+                                        values, np.full(S * n, 1.0 / (S * n)))
     if not np.all(np.isfinite(grad)):
         raise NonFinite("complete-data gradient is not finite")
     return grad
@@ -438,7 +416,7 @@ def mcem_iteration(model, theta, data, hmc_config, e_step_samples, opt_state,
     _check_int("thin", thin, 1)
     if e_step_samples < 1:
         raise EmptyESample("e_step_samples must be at least 1")
-    theta = np.asarray(theta, dtype=np.float64)
+    theta = graph._check_theta(model, theta)
     sample_model = model
     if parameterization == "dncp":
         if plan is None:
@@ -520,7 +498,7 @@ def train(method, model, train_data, test_data, schedule, plan=None):
     if schedule.theta0 is None:
         theta = graph.random_params(model, rng)
     else:
-        theta = np.asarray(schedule.theta0, dtype=np.float64).copy()
+        theta = graph._check_theta(model, schedule.theta0).copy()
     opt = adagrad_init(model.layout.size, schedule.learning_rate)
     chains = None
 
@@ -547,7 +525,7 @@ def train(method, model, train_data, test_data, schedule, plan=None):
                 theta, opt = adagrad_update(theta, grad, opt)
         else:
             theta, opt, chains = mcem_iteration(
-                model, theta, train_data, schedule.hmc,
+                model, theta, train_checked, schedule.hmc,
                 schedule.e_step_samples, opt, rng, chains=chains,
                 parameterization=schedule.parameterization, plan=plan,
                 thin=schedule.thin,

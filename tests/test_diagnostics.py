@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from ncbayes import diagnostics
-from ncbayes.errors import ConstantSeries, NonFinite, ShapeError
+from ncbayes.errors import (
+    ConfigurationError,
+    ConstantSeries,
+    NonFinite,
+    ShapeError,
+)
 
 
 def ar1(phi, n, rng, burn=500):
@@ -157,6 +162,14 @@ class TestEssReport:
         # an empty chain still fails on its lag bound first
         with pytest.raises(ShapeError, match="max_lag"):
             diagnostics.ess_report(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("max_lag", [2.5, np.nan, -1, True, "3"])
+    def test_max_lag_is_checked_before_any_work(self, max_lag):
+        # a constant column would raise ConstantSeries at its FFT
+        with pytest.raises(ConfigurationError, match="max_lag"):
+            diagnostics.ess_report(np.ones((200, 2)), max_lag=max_lag)
+        with pytest.raises(ConfigurationError, match="max_lag"):
+            diagnostics.autocorrelation(np.ones(200), max_lag)
 
     def test_constant_column_rejected(self):
         draws = np.column_stack([np.arange(200.0), np.full(200, 3.3)])

@@ -213,6 +213,19 @@ class TestLogJoint:
         with pytest.raises(ShapeError):
             graph.log_joint(model, np.zeros(3),
                             {"z": np.zeros(2), "x": np.zeros(3), "k": np.zeros(3)})
+        # one rule for every full-assignment entry point: rows must agree
+        # and every key must name a node
+        rows = {"z": np.zeros((6, 2)), "x": np.zeros((3, 3)), "k": np.zeros(3)}
+        unknown = {"z": np.zeros(2), "x": np.zeros(3), "k": np.zeros(3),
+                   "w": np.zeros(2)}
+        for fn in (graph.log_joint, graph.grad_log_joint_params,
+                   graph.grad_log_joint_latents):
+            with pytest.raises(UnboundInput):
+                fn(model, theta, {"z": np.zeros(2), "x": np.zeros(3)})
+            with pytest.raises(ShapeError, match="'x' has 3 rows"):
+                fn(model, theta, rows)
+            with pytest.raises(ShapeError, match="'w'"):
+                fn(model, theta, unknown)
 
 
 class TestGradients:

@@ -29,6 +29,7 @@ from ncbayes.learning import (
     mmcl_gradient,
     train,
 )
+from ncbayes.modelzoo import build_lds_model
 from ncbayes.reparam import apply_plan, full_dncp_plan
 
 SIGMA_X = 1.0
@@ -286,6 +287,51 @@ class TestDatasetHelpers:
             marginal_log_likelihood(
                 nc, np.zeros(1),
                 {"x": np.zeros((5, 1)), "z": np.zeros((5, 1))}, 10, seed=0)
+        # vectors alone are one point
+        assert marginal_log_likelihood(
+            nc, np.zeros(1), {"x": np.array([0.3])}, 10, seed=0
+        ) == marginal_log_likelihood(
+            nc, np.zeros(1), {"x": np.array([[0.3]])}, 10, seed=0)
+        model = two_layer_model((2, 3), 5)
+        nc2 = apply_plan(model, full_dncp_plan(model))
+        theta = np.zeros(model.layout.size)
+        for data in ({"x": np.zeros((0, 5))}, {"x": np.zeros((2, 4))},
+                     {"x": np.zeros((2, 5)), "z1": np.zeros((2, 2))},
+                     {"x": np.zeros((2, 5)), "nope": np.zeros(1)}):
+            with pytest.raises(ShapeError):
+                marginal_log_likelihood(nc2, theta, data, 3, seed=0)
+        with pytest.raises(ShapeError, match="one datapoint"):
+            mmcl_estimate(nc2, theta, {"x": np.zeros((2, 5))}, 3,
+                          np.random.default_rng(0))
+        # a vector next to matrices of several rows is no dataset
+        lds = build_lds_model(1.0, 0.5)
+        with pytest.raises(ShapeError, match="rows"):
+            marginal_log_likelihood(
+                apply_plan(lds, full_dncp_plan(lds)), np.zeros(0),
+                {"x1": np.zeros(1), "x2": np.zeros((3, 1))}, 3, seed=0)
+
+
+@pytest.mark.parametrize("extra", [-1, 3])
+def test_theta_length_is_checked_at_every_entry(extra):
+    model = two_layer_model((2, 3), 5)
+    nc = apply_plan(model, full_dncp_plan(model))
+    theta = np.zeros(model.layout.size + extra)
+    x = np.zeros(5)
+    rng = np.random.default_rng(0)
+    calls = [
+        lambda: mmcl_estimate(nc, theta, {"x": x}, 3, rng),
+        lambda: mmcl_gradient(nc, theta, {"x": x}, 3, rng),
+        lambda: marginal_log_likelihood(nc, theta, {"x": x[None]}, 3, 0),
+        lambda: complete_data_gradient(model, theta, {"x": x[None]},
+                                       np.zeros((1, 1, 5))),
+        lambda: train("mmcl", model, {"x": x[None]}, {"x": x[None]},
+                      TrainConfig(iterations=1, learning_rate=0.1,
+                                  mmcl=MmclConfig(L=2), l_eval=2,
+                                  theta0=theta)),
+    ]
+    for call in calls:
+        with pytest.raises(ShapeError, match="parameter vector"):
+            call()
 
 
 class TestCompleteDataGradient:

@@ -14,8 +14,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ncbayes import graph
-from ncbayes.errors import DomainError, ShapeError
+from ncbayes.errors import DomainError, NcbayesError, ShapeError
 from ncbayes.graph import LatentPosterior, pack_coords, unpack_coords
+from ncbayes.learning import marginal_log_likelihood
 from ncbayes.reparam import apply_plan, eps_from_z, full_dncp_plan, z_from_eps
 
 RTOL = 1e-12
@@ -223,6 +224,81 @@ def test_latent_gradient_without_free_nodes_and_with_mixed_shapes():
         graph.grad_log_joint_latents(
             CP, THETA, {**unpack_coords(CP, np.full((3, 5), 0.5)),
                         "l": np.array([0.5]), **SHARED})
+
+
+class TestOneRule:
+    """Posterior data, learner datasets and full assignments take their
+    values by one rule (``graph._node_values``)."""
+
+    def test_deterministic_values(self):
+        eps = unpack_coords(DNCP, np.full(5, 0.5))
+        g = {"g": np.zeros(2)}
+        assert DNCP.nodes["g"].kind == "deterministic"
+        # a full assignment drops them: the joint recomputes them
+        assert graph.log_joint(DNCP, THETA, {**eps, **SHARED, **g}) == \
+            graph.log_joint(DNCP, THETA, {**eps, **SHARED})
+        # data and datasets take observed values only
+        with pytest.raises(ShapeError, match="'g'"):
+            LatentPosterior(DNCP, THETA, {**SHARED, **g})
+        with pytest.raises(ShapeError, match="'g'"):
+            marginal_log_likelihood(DNCP, THETA, {**SHARED, **g}, 2, 0)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_any_values_return_or_raise_a_package_error(self, data):
+        model = data.draw(st.sampled_from([CP, DNCP]))
+        everything = data.draw(value_dicts(model, model.topo_order))
+        observed = data.draw(value_dicts(model, model.observed_ids))
+        calls = [
+            lambda: graph.log_joint(model, THETA, everything),
+            lambda: graph.grad_log_joint_params(model, THETA, everything),
+            lambda: graph.grad_log_joint_latents(model, THETA, everything),
+            lambda: LatentPosterior(model, THETA, observed).value_and_grad(
+                np.full(model.free_dim(), 0.5)),
+            lambda: marginal_log_likelihood(model, THETA, observed, 2, 0),
+        ]
+        for call in calls:
+            try:
+                with np.errstate(all="ignore"):
+                    call()
+            except NcbayesError:
+                pass
+
+
+FAULTS = ("none", "missing", "extra", "axes", "dim", "rows")
+
+
+@st.composite
+def value_dicts(draw, model, ids):
+    """Values for ``ids`` (scalars of length-1 nodes, vectors and row
+    matrices) with at most one fault: a missing key, a key for another
+    node or for none, a value of 3 axes or of the wrong trailing length,
+    or row matrices that disagree on the number of rows."""
+    rows = draw(st.integers(0, 3))
+    out = {}
+    for key in ids:
+        dim = model.nodes[key].dim
+        shape = draw(st.sampled_from(
+            [(dim,), (rows, dim)] + ([()] if dim == 1 else [])))
+        out[key] = np.full(shape, draw(st.sampled_from([0.0, 0.5, 1.0])))
+    fault = draw(st.sampled_from(FAULTS))
+    key, other = draw(st.permutations(ids))[:2]
+    dim = model.nodes[key].dim
+    if fault == "missing":
+        del out[key]
+    elif fault == "extra":
+        out[draw(st.sampled_from(
+            [i for i in model.topo_order if i not in ids] + ["nope"]))] = \
+            np.full(2, 0.5)
+    elif fault == "axes":
+        out[key] = np.full((1, rows, dim), 0.5)
+    elif fault == "dim":
+        out[key] = np.full(draw(st.sampled_from(
+            [(dim + 1,), (rows, dim - 1)])), 0.5)
+    elif fault == "rows":
+        out[key] = np.full((rows + 1, dim), 0.5)
+        out[other] = np.full((rows, model.nodes[other].dim), 0.5)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
